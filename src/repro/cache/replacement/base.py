@@ -11,15 +11,17 @@ The LLC simulator drives policies through four events:
    policy applies its promotion rule.
 
 ``on_evict`` notifies about evictions (for predictors that train on
-them) and ``prepare`` hands future knowledge to offline policies
-(Belady's MIN).  ``is_mru`` exposes the policy's notion of the
-most-recently-used position, which the ``burst`` feature needs
-(Section 3.2).
+them), ``prepare`` hands future knowledge to offline policies
+(Belady's MIN), and ``bind_stream`` lets a policy precompute, once per
+replay, inputs that depend only on the access stream.  ``is_mru``
+exposes the policy's notion of the most-recently-used position, which
+the ``burst`` feature needs (Section 3.2).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import AbstractContextManager, nullcontext
 from typing import Sequence
 
 from repro.cache.access import AccessContext
@@ -77,6 +79,20 @@ class ReplacementPolicy(ABC):
     def needs_future(self) -> bool:
         """True if :meth:`prepare` must be called before simulation."""
         return False
+
+    def bind_stream(self, stream: Sequence, pc_trace: Sequence[int]
+                    ) -> AbstractContextManager:
+        """Scope per-stream precomputation to one replay (optional).
+
+        :meth:`repro.sim.llc.LLCSimulator.run` enters the returned
+        context once around its replay loop.  A policy whose per-access
+        inputs are pure functions of the stream (hashed PCs, PC-history
+        features) may lower them to columns on entry and read them by
+        ``ctx.stream_index``; it must drop them on exit, so a predictor
+        driven again afterwards hashes per access instead of reading
+        another stream's rows.  Default: nothing to precompute.
+        """
+        return nullcontext()
 
 
 class PolicyStats:

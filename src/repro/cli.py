@@ -918,6 +918,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Record the launching argv (for run manifests / `resume`) exactly
     # as the subcommand received it.
     args.argv = list(argv) if argv is not None else list(sys.argv[1:])
+    if "mpppb" in (getattr(args, "policies", None) or ()):
+        # The bare name needs an MPPPBConfig that no flag can supply;
+        # every cell would fail, so refuse before any work starts.
+        print("error: policy 'mpppb' needs an explicit feature-set config; "
+              "use mpppb-1a, mpppb-1b or mpppb-mp", file=sys.stderr)
+        return 2
     if getattr(args, "stage2_kernel", None):
         os.environ["REPRO_STAGE2_KERNEL"] = args.stage2_kernel
     if getattr(args, "graph", None):

@@ -17,12 +17,20 @@ while predicted friendly).
 The reproduced paper notes Hawkeye's false/true positive rates are not
 directly comparable to LRU-sampler predictors (Section 6.3), so this
 class is used only as a management policy, not in the ROC study.
+
+The predictor index of an access is a hash of its PC alone, so a
+replay lowers it to one numpy-computed column up front
+(:meth:`HawkeyePredictor.bind_stream`), and OPTgen histories and
+cache blocks remember the *index* of their last PC rather than
+rehashing it on every training event; :meth:`HawkeyePredictor._index`
+stays the scalar reference.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.cache.access import AccessContext
 from repro.cache.replacement.base import ReplacementPolicy
@@ -69,7 +77,7 @@ class OptGen:
 @dataclass
 class _History:
     last_time: int
-    last_pc: int
+    last_index: int  # predictor index of the last accessing PC
 
 
 class HawkeyePredictor:
@@ -94,39 +102,71 @@ class HawkeyePredictor:
         self._histories: List[Dict[int, _History]] = [
             {} for _ in range(sampler_sets)
         ]
+        # Predictor index of the most recent access (for the policy's
+        # per-block bookkeeping), and the lowered index column of the
+        # bound stream — None outside LLCSimulator.run.
+        self.last_index = 0
+        self._column: Optional[List[int]] = None
+
+    @contextmanager
+    def bind_stream(self, stream: Sequence, pc_trace: Sequence[int]
+                    ) -> Iterator[None]:
+        """Serve access indices from a column lowered for ``stream``.
+
+        Inside the context, :meth:`on_llc_access` reads the index at
+        ``ctx.stream_index``; on exit the column is dropped.  Without
+        numpy, with ``REPRO_STAGE2_KERNEL=off`` or for PCs beyond
+        ``int64``, nothing is lowered and every access hashes its PC.
+        """
+        from repro.sim.kernel import stream_columns_enabled
+
+        if stream_columns_enabled():
+            from repro.sim.kernel.columns import pc_hash_column
+
+            self._column = pc_hash_column(stream, self.table_bits)
+        try:
+            yield
+        finally:
+            self._column = None
 
     def is_friendly(self, pc: int) -> bool:
         return self.counters[self._index(pc)] >= self.FRIENDLY_THRESHOLD
 
     def on_llc_access(self, set_idx: int, ctx: AccessContext, hit: bool) -> bool:
         """Observe an access; train OPTgen; return current friendliness."""
+        column = self._column
+        index = (self._index(ctx.pc) if column is None
+                 else column[ctx.stream_index])
+        self.last_index = index
         sampler_idx = self.sampler.sampler_index(set_idx)
         if sampler_idx >= 0:
-            self._sample(sampler_idx, ctx)
-        return self.is_friendly(ctx.pc)
+            self._sample(sampler_idx, ctx.block, index)
+        return self.counters[index] >= self.FRIENDLY_THRESHOLD
 
     def detrain(self, pc: int) -> None:
         """A friendly-predicted block was evicted unused: push PC averse."""
-        index = self._index(pc)
+        self.detrain_index(self._index(pc))
+
+    def detrain_index(self, index: int) -> None:
+        """:meth:`detrain` for an already-hashed predictor index."""
         if self.counters[index] > 0:
             self.counters[index] -= 1
 
-    def _sample(self, sampler_idx: int, ctx: AccessContext) -> None:
+    def _sample(self, sampler_idx: int, block: int, index: int) -> None:
         optgen = self._optgens[sampler_idx]
         history = self._histories[sampler_idx]
-        record = history.get(ctx.block)
+        record = history.get(block)
         if record is not None:
             opt_hit = optgen.access(record.last_time)
-            self._train(record.last_pc, friendly=opt_hit)
+            self._train(record.last_index, friendly=opt_hit)
         stamp = optgen.advance()
-        history[ctx.block] = _History(last_time=stamp, last_pc=ctx.pc)
+        history[block] = _History(last_time=stamp, last_index=index)
         if len(history) > 4 * optgen.window:
             horizon = optgen.time - optgen.window
-            for block in [b for b, r in history.items() if r.last_time < horizon]:
-                del history[block]
+            for stale in [b for b, r in history.items() if r.last_time < horizon]:
+                del history[stale]
 
-    def _train(self, pc: int, friendly: bool) -> None:
-        index = self._index(pc)
+    def _train(self, index: int, friendly: bool) -> None:
         if friendly:
             if self.counters[index] < self.COUNTER_MAX:
                 self.counters[index] += 1
@@ -154,41 +194,44 @@ class HawkeyePolicy(ReplacementPolicy):
         self.predictor = predictor or HawkeyePredictor(num_sets, ways)
         self.rrpvs: List[List[int]] = [[self.RRPV_MAX] * ways for _ in range(num_sets)]
         self._friendly: List[List[bool]] = [[False] * ways for _ in range(num_sets)]
-        self._load_pc: List[List[int]] = [[0] * ways for _ in range(num_sets)]
+        # Predictor index of each block's loading PC (detrain target).
+        self._load_index: List[List[int]] = [[0] * ways for _ in range(num_sets)]
         self._last_friendly = False
+
+    def bind_stream(self, stream: Sequence, pc_trace: Sequence[int]):
+        return self.predictor.bind_stream(stream, pc_trace)
 
     def on_access(self, set_idx: int, ctx: AccessContext, hit: bool, way: int) -> None:
         self._last_friendly = self.predictor.on_llc_access(set_idx, ctx, hit)
 
     def choose_victim(self, set_idx: int, ctx: AccessContext) -> int:
         rrpvs = self.rrpvs[set_idx]
-        for way in range(self.ways):
-            if rrpvs[way] == self.RRPV_MAX:
-                return way
-        victim = max(range(self.ways), key=lambda w: rrpvs[w])
+        # The first way at the highest RRPV: a distant (RRPV_MAX) block
+        # if any, else the oldest block, whose eviction may detrain.
+        oldest = max(rrpvs)
+        victim = rrpvs.index(oldest)
         # Evicting a block believed friendly: its loading PC misled us.
-        if self._friendly[set_idx][victim]:
-            self.predictor.detrain(self._load_pc[set_idx][victim])
+        if oldest < self.RRPV_MAX and self._friendly[set_idx][victim]:
+            self.predictor.detrain_index(self._load_index[set_idx][victim])
         return victim
 
     def on_fill(self, set_idx: int, way: int, ctx: AccessContext) -> None:
         friendly = self._last_friendly
-        rrpvs = self.rrpvs[set_idx]
         if friendly:
-            for other in range(self.ways):
-                if other != way and rrpvs[other] < self.RRPV_MAX - 1:
-                    rrpvs[other] += 1
+            aging = self.RRPV_MAX - 1
+            rrpvs = [r + 1 if r < aging else r for r in self.rrpvs[set_idx]]
             rrpvs[way] = 0
+            self.rrpvs[set_idx] = rrpvs
         else:
-            rrpvs[way] = self.RRPV_MAX
+            self.rrpvs[set_idx][way] = self.RRPV_MAX
         self._friendly[set_idx][way] = friendly
-        self._load_pc[set_idx][way] = ctx.pc
+        self._load_index[set_idx][way] = self.predictor.last_index
 
     def on_hit(self, set_idx: int, way: int, ctx: AccessContext) -> None:
         friendly = self._last_friendly
         self.rrpvs[set_idx][way] = 0 if friendly else self.RRPV_MAX
         self._friendly[set_idx][way] = friendly
-        self._load_pc[set_idx][way] = ctx.pc
+        self._load_index[set_idx][way] = self.predictor.last_index
 
     def is_mru(self, set_idx: int, way: int) -> bool:
         return self.rrpvs[set_idx][way] == 0

@@ -17,12 +17,19 @@ optimization: dead-on-arrival fills are bypassed, and each block keeps
 one extra *reuse bit* (set when an access to it was predicted dead)
 that makes it a preferred victim — the per-block bit the reproduced
 paper contrasts with MPPPB's implicit placement-based encoding.
+
+All six feature indices depend only on the access stream, so a replay
+lowers them to one numpy-computed row per access up front
+(:meth:`PerceptronPredictor.bind_stream`); :meth:`feature_indices` is
+the scalar reference those rows match bit for bit, and the path taken
+whenever no stream is bound.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.cache.access import AccessContext
 from repro.cache.replacement.base import ReplacementPolicy
@@ -65,6 +72,30 @@ class PerceptronPredictor(ReusePredictor):
             [0] * self.table_size for _ in range(NUM_FEATURES)
         ]
         self._sets: List[List[_SamplerEntry]] = [[] for _ in range(sampler_sets)]
+        # feature_indices of every access of the bound stream, by
+        # stream index; None outside LLCSimulator.run.
+        self._rows: Optional[List[List[int]]] = None
+
+    @contextmanager
+    def bind_stream(self, stream: Sequence, pc_trace: Sequence[int]
+                    ) -> Iterator[None]:
+        """Serve :meth:`feature_indices` from rows lowered for ``stream``.
+
+        Inside the context, :meth:`on_llc_access` reads the row at
+        ``ctx.stream_index``; on exit the rows are dropped.  Without
+        numpy, with ``REPRO_STAGE2_KERNEL=off`` or for values beyond
+        ``int64``, nothing is lowered and every access hashes itself.
+        """
+        from repro.sim.kernel import stream_columns_enabled
+
+        if stream_columns_enabled():
+            from repro.sim.kernel.columns import perceptron_rows
+
+            self._rows = perceptron_rows(stream, pc_trace, self.table_bits)
+        try:
+            yield
+        finally:
+            self._rows = None
 
     # -- features and prediction ----------------------------------------
 
@@ -91,7 +122,7 @@ class PerceptronPredictor(ReusePredictor):
         ]
 
     def predict(self, indices: Sequence[int]) -> int:
-        return sum(table[index] for table, index in zip(self.tables, indices))
+        return sum(map(list.__getitem__, self.tables, indices))
 
     @property
     def confidence_range(self) -> float:
@@ -100,7 +131,9 @@ class PerceptronPredictor(ReusePredictor):
     # -- training --------------------------------------------------------
 
     def on_llc_access(self, set_idx: int, ctx: AccessContext, hit: bool) -> float:
-        indices = self.feature_indices(ctx)
+        rows = self._rows
+        indices = (self.feature_indices(ctx) if rows is None
+                   else rows[ctx.stream_index])
         confidence = self.predict(indices)
         sampler_idx = self.sampler.sampler_index(set_idx)
         if sampler_idx >= 0:
@@ -162,6 +195,9 @@ class PerceptronPolicy(ReplacementPolicy):
             [False] * ways for _ in range(num_sets)
         ]
         self._last_confidence = 0.0
+
+    def bind_stream(self, stream: Sequence, pc_trace: Sequence[int]):
+        return self.predictor.bind_stream(stream, pc_trace)
 
     def on_access(self, set_idx: int, ctx: AccessContext, hit: bool, way: int) -> None:
         self._last_confidence = self.predictor.on_llc_access(set_idx, ctx, hit)

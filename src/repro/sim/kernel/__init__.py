@@ -15,6 +15,12 @@ through a backend compiled against that fixed schema —
   (:mod:`~repro.sim.kernel.numba_backend`), with a one-line notice
   and graceful fallback to ``numpy`` when requested but absent.
 
+The same column front end (stream decode, PC-history gathers, the
+vectorized splitmix64) also lowers the per-access hashing of the
+Perceptron and Hawkeye baselines once per replay; those policies still
+replay through :class:`~repro.sim.llc.LLCSimulator` and read the
+columns by stream index (:func:`stream_columns_enabled`).
+
 Selection follows the repo's knob pattern (``REPRO_STAGE2_BATCH``,
 ``REPRO_STAGE3_VECTOR``): the ``REPRO_STAGE2_KERNEL`` environment
 variable picks ``off`` / ``numpy`` / ``numba``, defaulting to the best
@@ -116,6 +122,21 @@ def stage2_kernel_backend() -> str:
     if _np is not None:
         return "numpy"
     return "off"
+
+
+def stream_columns_enabled() -> bool:
+    """Whether baseline policies may lower their inputs to numpy columns.
+
+    The lowering (:func:`~repro.sim.kernel.columns.perceptron_rows`,
+    :func:`~repro.sim.kernel.columns.pc_hash_column`) needs numpy only;
+    ``REPRO_STAGE2_KERNEL=off`` keeps the scalar per-access hashing, so
+    the kernel-off mode stays the pure-Python reference replay.  Unlike
+    :func:`stage2_kernel_backend` this never probes for numba.
+    """
+    if _np is None:
+        return False
+    raw = os.environ.get("REPRO_STAGE2_KERNEL") or ""
+    return raw.strip().lower() not in _DISABLED
 
 
 def replay_batch(sim, stream: Sequence, pc_trace: Sequence[int],

@@ -27,11 +27,12 @@ Python ints the replay backends index with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.features import BLOCK_OFFSET_BITS, MAX_TABLE_SIZE
+from repro.core.features import BLOCK_OFFSET_BITS, INDEX_BITS, MAX_TABLE_SIZE
 from repro.sim.llc import LLCAccess
 from repro.util.hashing import _GOLDEN64, _MIX1, _MIX2
 
@@ -49,6 +50,61 @@ def mix64_array(values: "np.ndarray") -> "np.ndarray":
     values = (values ^ (values >> np.uint64(30))) * np.uint64(_MIX1)
     values = (values ^ (values >> np.uint64(27))) * np.uint64(_MIX2)
     return values ^ (values >> np.uint64(31))
+
+
+def hash_to_array(values: "np.ndarray", width: int) -> "np.ndarray":
+    """Vectorized :func:`repro.util.hashing.hash_to`, as ``int64``."""
+    return (mix64_array(values)
+            & np.uint64((1 << width) - 1)).astype(np.int64)
+
+
+def combine_array(values: "np.ndarray", salt: int) -> "np.ndarray":
+    """Vectorized two-argument :func:`repro.util.hashing.combine`:
+    ``combine(value, salt)`` for every ``uint64`` value."""
+    return mix64_array(mix64_array(values) ^ np.uint64(salt))
+
+
+def pc_hash_array(pcs: "np.ndarray", width: int) -> "np.ndarray":
+    """Vectorized :func:`repro.util.hashing.pc_hash` over ``int64`` PCs.
+
+    The shift is arithmetic on ``int64`` before the two's-complement
+    widening, exactly like ``pc >> 2`` on a Python int.
+    """
+    return hash_to_array((pcs >> np.int64(2)).astype(np.uint64), width)
+
+
+def stream_field(stream: Sequence[LLCAccess], name: str,
+                 dtype: Any = np.int64) -> "np.ndarray":
+    """One :class:`~repro.sim.llc.LLCAccess` attribute as a column.
+
+    Raises :class:`OverflowError` when a value does not fit ``dtype``
+    (e.g. a 64-bit PC at or above 2**63 in ``int64``).
+    """
+    return np.fromiter(map(attrgetter(name), stream), dtype=dtype,
+                       count=len(stream))
+
+
+def history_base(mems: "np.ndarray", prefetch: "np.ndarray") -> "np.ndarray":
+    """Per-access PC-history base, as the sequential ``AccessContext``
+    derives it: prefetches observe the history *including* their
+    triggering access, so their base is one past ``mem_index``."""
+    return mems + prefetch.astype(np.int64)
+
+
+def past_pcs(hist: "np.ndarray", hbase: "np.ndarray",
+             depth: int) -> "np.ndarray":
+    """``hist[hbase - depth]`` as ``uint64``, zero where out of range.
+
+    The vectorized form of the scalar history probe
+    ``history[i] if 0 <= i < len(history) else 0``.
+    """
+    hlen = len(hist)
+    if hlen == 0:
+        return np.zeros(len(hbase), dtype=np.uint64)
+    idx = hbase - np.int64(depth)
+    valid = (idx >= 0) & (idx < hlen)
+    return np.where(valid, hist[np.clip(idx, 0, hlen - 1)],
+                    np.int64(0)).astype(np.uint64)
 
 
 def _slice_and_fold_array(source: "np.ndarray", lo: int, hi: int,
@@ -126,14 +182,10 @@ def lower_stream(
     ``pc``/``addr``/``off``/``pd<depth>``.
     """
     n = len(stream)
-    pcs = np.fromiter((a.pc for a in stream), dtype=np.int64, count=n)
-    blocks = np.fromiter((a.block for a in stream), dtype=np.int64, count=n)
-    offsets = np.fromiter((a.offset for a in stream), dtype=np.int64,
-                          count=n)
-    mems = np.fromiter((a.mem_index for a in stream), dtype=np.int64,
-                       count=n)
-    prefetch = np.fromiter((a.is_prefetch for a in stream), dtype=np.uint8,
-                           count=n)
+    pcs, blocks, offsets, mems = (
+        stream_field(stream, name)
+        for name in ("pc", "block", "offset", "mem_index"))
+    prefetch = stream_field(stream, "is_prefetch", np.uint8)
 
     set_idxs = blocks & np.int64(num_sets - 1)
     ublocks = blocks.astype(np.uint64)
@@ -146,14 +198,10 @@ def lower_stream(
     sampled = (set_idxs % np.int64(stride) == 0) & (quotient < sampler_sets)
     samp_idxs = np.where(sampled, quotient, np.int64(-1))
 
-    # Same history base the sequential AccessContext uses: prefetches
-    # observe the history *including* their triggering access.
-    hbase = mems + prefetch.astype(np.int64)
+    hbase = history_base(mems, prefetch)
     hist = np.asarray(pc_trace, dtype=np.int64)
-    hlen = len(hist)
 
-    hashed_pc = (mix64_array((pcs >> np.int64(2)).astype(np.uint64))
-                 & np.uint64(_XOR_MASK)).astype(np.int64)
+    hashed_pc = pc_hash_array(pcs, INDEX_BITS)
 
     sources: Dict[str, Any] = {}
 
@@ -169,15 +217,7 @@ def lower_stream(
         elif name == "off":
             value = offsets.astype(np.uint64)
         else:  # pd<depth>: PC-history probe, zero out of range
-            depth = int(name[2:])
-            idx = hbase - np.int64(depth)
-            if hlen == 0:
-                value = np.zeros(n, dtype=np.uint64)
-            else:
-                valid = (idx >= 0) & (idx < hlen)
-                value = np.where(
-                    valid, hist[np.clip(idx, 0, hlen - 1)], np.int64(0)
-                ).astype(np.uint64)
+            value = past_pcs(hist, hbase, int(name[2:]))
         sources[name] = value
         return value
 
@@ -203,3 +243,47 @@ def lower_stream(
         prefetch=prefetch,
         cols=cols,
     )
+
+
+# -- baseline predictors ----------------------------------------------------
+#
+# Perceptron and Hawkeye index their tables with hashes that depend only
+# on the stream, never on cache state.  These lowerings compute them for
+# a whole stream at once; the predictors' scalar methods
+# (``PerceptronPredictor.feature_indices``, ``HawkeyePredictor._index``)
+# remain the reference they must match bit for bit.  Both return
+# ``None`` when a value does not fit ``int64``, and the caller then
+# keeps hashing per access.
+
+
+def perceptron_rows(stream: Sequence[LLCAccess], pc_trace: Sequence[int],
+                    bits: int) -> Optional[List[List[int]]]:
+    """``PerceptronPredictor.feature_indices`` for every access of
+    ``stream``: one six-index row per access, as plain Python ints."""
+    try:
+        pcs, blocks, mems = (stream_field(stream, name)
+                             for name in ("pc", "block", "mem_index"))
+        prefetch = stream_field(stream, "is_prefetch", np.uint8)
+        hist = np.asarray(pc_trace, dtype=np.int64)
+    except OverflowError:
+        return None
+    hbase = history_base(mems, prefetch)
+    columns = [pc_hash_array(pcs, bits)]
+    for depth in (1, 2, 3):
+        columns.append(hash_to_array(
+            combine_array(past_pcs(hist, hbase, depth), depth), bits))
+    for shift, salt in ((4, 4), (7, 5)):
+        tags = (blocks >> np.int64(shift)).astype(np.uint64)
+        columns.append(hash_to_array(combine_array(tags, salt), bits))
+    return np.stack(columns, axis=1).tolist()
+
+
+def pc_hash_column(stream: Sequence[LLCAccess],
+                   bits: int) -> Optional[List[int]]:
+    """``pc_hash(pc, bits)`` for every access of ``stream`` (Hawkeye's
+    predictor index), as plain Python ints."""
+    try:
+        pcs = stream_field(stream, "pc")
+    except OverflowError:
+        return None
+    return pc_hash_array(pcs, bits).tolist()

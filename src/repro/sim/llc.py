@@ -131,49 +131,52 @@ class LLCSimulator:
         # and predictors read it synchronously and never retain it.
         ctx = AccessContext(pc=0, address=0, block=0, offset=0,
                             pc_history=pc_trace)
-        for index, access in enumerate(stream):
-            stats = measured if index >= warmup else warm
-            block = access.block
-            set_idx = block & set_mask
-            way = where[set_idx].get(block, -1)
-            hit = way >= 0
-            ctx.pc = access.pc
-            ctx.address = (block << 6) | access.offset
-            ctx.block = block
-            ctx.offset = access.offset
-            ctx.is_write = access.is_write
-            ctx.is_prefetch = access.is_prefetch
-            ctx.stream_index = index
-            ctx.history_index = access.mem_index
-            ctx.is_insert = not hit
-            ctx.last_was_miss = last_was_miss[set_idx]
-            ctx.is_mru_hit = hit and is_mru(set_idx, way)
-            on_access(set_idx, ctx, hit, way)
-            stats.accesses += 1
-            if not access.is_prefetch:
-                stats.demand_accesses += 1
-            if hit:
-                stats.hits += 1
+        # Stream-derived inputs (e.g. the baselines' hashed features)
+        # are lowered once here and released when the loop exits.
+        with policy.bind_stream(stream, pc_trace):
+            for index, access in enumerate(stream):
+                stats = measured if index >= warmup else warm
+                block = access.block
+                set_idx = block & set_mask
+                way = where[set_idx].get(block, -1)
+                hit = way >= 0
+                ctx.pc = access.pc
+                ctx.address = (block << 6) | access.offset
+                ctx.block = block
+                ctx.offset = access.offset
+                ctx.is_write = access.is_write
+                ctx.is_prefetch = access.is_prefetch
+                ctx.stream_index = index
+                ctx.history_index = access.mem_index
+                ctx.is_insert = not hit
+                ctx.last_was_miss = last_was_miss[set_idx]
+                ctx.is_mru_hit = hit and is_mru(set_idx, way)
+                on_access(set_idx, ctx, hit, way)
+                stats.accesses += 1
                 if not access.is_prefetch:
-                    stats.demand_hits += 1
-                on_hit(set_idx, way, ctx)
-            else:
-                stats.misses += 1
-                if not access.is_prefetch:
-                    stats.demand_misses += 1
-                if should_bypass(set_idx, ctx):
-                    stats.bypasses += 1
+                    stats.demand_accesses += 1
+                if hit:
+                    stats.hits += 1
+                    if not access.is_prefetch:
+                        stats.demand_hits += 1
+                    on_hit(set_idx, way, ctx)
                 else:
-                    fill_way = invalid_way(set_idx)
-                    if fill_way < 0:
-                        fill_way = choose_victim(set_idx, ctx)
-                        evicted = cache.tags[set_idx][fill_way]
-                        on_evict(set_idx, fill_way, evicted)
-                        stats.evictions += 1
-                    install(set_idx, fill_way, block)
-                    on_fill(set_idx, fill_way, ctx)
-            last_was_miss[set_idx] = not hit
-            append_outcome(hit)
+                    stats.misses += 1
+                    if not access.is_prefetch:
+                        stats.demand_misses += 1
+                    if should_bypass(set_idx, ctx):
+                        stats.bypasses += 1
+                    else:
+                        fill_way = invalid_way(set_idx)
+                        if fill_way < 0:
+                            fill_way = choose_victim(set_idx, ctx)
+                            evicted = cache.tags[set_idx][fill_way]
+                            on_evict(set_idx, fill_way, evicted)
+                            stats.evictions += 1
+                        install(set_idx, fill_way, block)
+                        on_fill(set_idx, fill_way, ctx)
+                last_was_miss[set_idx] = not hit
+                append_outcome(hit)
         if obs.enabled():
             flush_llc_metrics(measured, policy)
         return LLCResult(outcomes=outcomes, stats=measured, warm_stats=warm)

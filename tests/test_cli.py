@@ -53,6 +53,18 @@ class TestExecution:
         assert code == 2
         assert "unknown benchmarks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compare", "mix", "perf"])
+    def test_bare_mpppb_policy_rejected_at_parse_time(self, command,
+                                                      capsys):
+        code = main([command, "--policies", "lru", "mpppb",
+                     "--scale", "tiny"])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: policy 'mpppb'")
+        assert captured.out == ""
+
     def test_compare_runs_tiny(self, capsys):
         code = main(["compare", "--benchmarks", "gamess",
                      "--policies", "lru", "min", "--scale", "tiny"])

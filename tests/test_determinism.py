@@ -38,6 +38,15 @@ MIX_HASH = "bec8c2cfa975ef0b8cfff1a87c8ff4cb3e5bd2ef307d006b6c0d7e34e3c9426b"
 # produce these candidates and MPKIs whether Stage 2 replays candidates
 # one at a time or through the shared-context batch engine.
 SEARCH_HASH = "25451957fce2529e70cc7ebc80843c0475e3e04242d942b9d72584574e9534aa"
+# Baseline-policy pins, taken with the scalar per-access hashing of
+# Perceptron and Hawkeye before their inputs were lowered to numpy
+# stream columns: the lowered replay must reproduce them exactly.
+BASELINE_POLICIES = ("perceptron", "hawkeye", "sdbp", "ship", "drrip", "min")
+BASELINE_HASH = "ace5323779d450722c32f9a7efce6f30ab4b2e7418337bca07038a5d8753957d"
+# The same two lowered predictors over the 2-core mixes (interleaved
+# streams with per-thread PC-history offsets).
+BASELINE_MIX_POLICIES = ("perceptron", "hawkeye")
+BASELINE_MIX_HASH = "4686c853d78f1453913b92cd84aa97442263e3c3c829fb960049a087d77d7561"
 
 # Stage-2 kernel backends: "off" always exists (per-access Python
 # replay); accelerated backends run wherever their import succeeds.
@@ -50,7 +59,7 @@ _KERNEL_BACKENDS = ["off"] + [
 ]
 
 
-def _single_cells():
+def _single_cells(policies=POLICIES):
     return [
         SingleCell(
             trace=TraceSpec(benchmark, TINY.hierarchy.llc_bytes, ACCESSES),
@@ -58,12 +67,12 @@ def _single_cells():
             hierarchy=TINY.hierarchy,
             warmup_fraction=TINY.warmup_fraction,
         )
-        for policy in POLICIES
+        for policy in policies
         for benchmark in BENCHMARKS
     ]
 
 
-def _mix_cells():
+def _mix_cells(policies=("lru",)):
     suite_spec = SuiteSpec(TINY.hierarchy.llc_bytes, ACCESSES)
     suite = build_suite(TINY.hierarchy.llc_bytes, ACCESSES)
     segments = [s for name in sorted(suite) for s in suite[name]]
@@ -73,10 +82,11 @@ def _mix_cells():
             suite=suite_spec,
             mix_name=mix.name,
             segment_names=tuple(s.name for s in mix.segments),
-            policy="lru",
+            policy=policy,
             hierarchy=TINY.multi_hierarchy,
             warmup_fraction=TINY.warmup_fraction,
         )
+        for policy in policies
         for mix in mixes
     ]
 
@@ -151,6 +161,47 @@ class TestPinnedHashes:
         """Every Stage-2 kernel backend reproduces the pinned hashes."""
         monkeypatch.setenv("REPRO_STAGE2_KERNEL", backend)
         _assert_pinned(ParallelRunner(jobs=1, store=None, verbose=False))
+
+
+def _assert_baseline_pinned(engine):
+    singles = engine.run(_single_cells(BASELINE_POLICIES),
+                         label="pin/baseline")
+    mixes = engine.run(_mix_cells(BASELINE_MIX_POLICIES),
+                       label="pin/baseline-mix")
+    assert stable_hash({"results": [r.to_dict() for r in singles]}) \
+        == BASELINE_HASH
+    assert stable_hash({"results": [r.to_dict() for r in mixes]}) \
+        == BASELINE_MIX_HASH
+
+
+class TestBaselinePins:
+    """The baseline predictors (Perceptron, Hawkeye, SDBP, SHiP, DRRIP,
+    MIN) pin like the MPPPB cells: serial, parallel, cold and warm
+    store, and under every Stage-2 kernel backend — ``off`` replays
+    Perceptron and Hawkeye through their scalar per-access hashing,
+    the others through the lowered stream columns."""
+
+    def test_serial_no_store(self):
+        _assert_baseline_pinned(ParallelRunner(jobs=1, store=None,
+                                               verbose=False))
+
+    def test_parallel_no_store(self):
+        _assert_baseline_pinned(ParallelRunner(jobs=2, store=None,
+                                               verbose=False))
+
+    def test_cold_then_warm_store(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        _assert_baseline_pinned(ParallelRunner(jobs=1, store=store,
+                                               verbose=False))
+        engine = ParallelRunner(jobs=1, store=store, verbose=False)
+        _assert_baseline_pinned(engine)
+        assert engine.last_report.hits == engine.last_report.cells
+
+    @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
+    def test_stage2_kernel_backends(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", backend)
+        _assert_baseline_pinned(ParallelRunner(jobs=1, store=None,
+                                               verbose=False))
 
 
 class TestFaultedPins:
