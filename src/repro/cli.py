@@ -748,9 +748,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Multiperspective Reuse Prediction reproduction CLI",
         epilog="Accelerator knobs (all bit-identical to the reference "
-               "simulator): REPRO_STAGE2_KERNEL=off|numpy|numba selects "
-               "the columnar Stage-2 replay backend (default: best "
-               "available), REPRO_STAGE2_BATCH=off disables shared-context "
+               "simulator): REPRO_STAGE2_KERNEL=off|auto turns the C "
+               "Stage-2 replay kernel off or on (default: auto, built "
+               "with cc on first use; without a compiler it is off), "
+               "REPRO_STAGE2_BATCH=off disables shared-context "
                "batching, REPRO_STAGE3_VECTOR=off disables vectorized "
                "timing, REPRO_GRAPH=off disables the cost-aware "
                "experiment-graph scheduler.  --stage2-kernel and --graph "
@@ -763,9 +764,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--stage2-kernel", default=None,
-        choices=["off", "numpy", "numba", "auto"], metavar="BACKEND",
-        help="Stage-2 replay kernel backend (off|numpy|numba|auto); "
-             "overrides REPRO_STAGE2_KERNEL for this invocation")
+        choices=["off", "auto"], metavar="{off,auto}",
+        help="Stage-2 C replay kernel (off|auto); overrides "
+             "REPRO_STAGE2_KERNEL for this invocation")
     parser.add_argument(
         "--graph", default=None, choices=["on", "off"],
         help="cost-aware experiment-graph scheduler (default: on); "

@@ -7,16 +7,16 @@ policy compare against cold and warm artifact caches, producing the
 Report schema (``REPORT_SCHEMA``)::
 
     {
-      "schema": 5,                # REPORT_SCHEMA, not the cache schema
+      "schema": 9,                # REPORT_SCHEMA, not the cache schema
       "scale": "tiny",
       "benchmark": "soplex",      # hot-path micro-benchmark workload
       "accesses": 4000,
       "repeats": 3,               # best-of-N for every timing
       "backends": {               # what this host could actually run,
-        "<name>": {               # so trajectory comparisons between
+        "c": {                    # so trajectory comparisons between
           "available": bool,      # reports aren't apples-to-oranges --
-          "error": str|null       # and *why* a backend is missing
-        }                         # (the import error, verbatim)
+          "error": str|null       # and *why* the C kernel is missing
+        }                         # (no compiler, or the build error)
       },
       "hotpath": {
         "trace_gen_s": float,     # synthesize all segments once
@@ -35,10 +35,8 @@ Report schema (``REPORT_SCHEMA``)::
         "k": int, "segments": int, "accesses": int,
         "python_s": float,        # REPRO_STAGE2_KERNEL=off (batched
                                   # bytecode replay, the PR 3 path)
-        "numpy_s": float|null,    # columnar numpy backend
-        "numba_s": float|null,    # numba JIT backend (post-warmup)
-        "numpy_speedup": float|null,  # python_s / numpy_s
-        "numba_speedup": float|null   # python_s / numba_s
+        "c_s": float|null,        # the C kernel (post-build)
+        "c_speedup": float|null   # python_s / c_s
       },
       "timing": {                 # Stage 3 alone, scalar vs vectorized
         "benchmark": str, "loads": int,
@@ -95,7 +93,7 @@ stable than means on shared CI runners.  :func:`check_report` gates
 three strength reductions that must never regress — fused-vs-legacy
 Stage 2 (``mpppb*`` policies only — nothing else uses the feature
 pipeline), batched-vs-sequential candidate evaluation, and the columnar
-numpy kernel (at least :data:`KERNEL_MIN_SPEEDUP` x over the batched
+C kernel (at least :data:`KERNEL_MIN_SPEEDUP` x over the batched
 bytecode replay) — plus the telemetry disabled-path budget (estimated
 instrumentation cost with telemetry off must stay under 2% of a
 Stage-2 replay).
@@ -120,7 +118,7 @@ from repro.sim.single import SingleThreadRunner
 from repro.traces.trace import Segment
 from repro.traces.workloads import build_segments
 
-REPORT_SCHEMA = 8
+REPORT_SCHEMA = 9
 # Instrumentation with telemetry disabled may cost at most this
 # fraction of a Stage-2 replay (the obs layer's headline promise).
 TELEMETRY_DISABLED_BUDGET = 0.02
@@ -137,8 +135,8 @@ TELEMETRY_ENABLED_BUDGET = 0.15
 # tiny-scale warm run; the factor bounds everything that does scale.
 GRAPH_MAX_SLOWDOWN = 1.05
 GRAPH_OVERHEAD_ALLOWANCE_S = 0.02
-# The columnar numpy kernel must beat the batched bytecode replay by
-# at least this factor on the Stage-2 replay itself.
+# The C Stage-2 kernel must beat the batched bytecode replay by at
+# least this factor on the Stage-2 replay itself.
 KERNEL_MIN_SPEEDUP = 1.5
 # The worker-fleet backend may tax an artifact-warm compare by at most
 # this factor over the local pool, plus the measured transport startup
@@ -305,12 +303,12 @@ def bench_search_batch(scale: ReproScale, repeats: int,
     }
 
 
-# -- columnar Stage-2 kernel (bytecode replay vs numpy vs numba) -----------
+# -- columnar Stage-2 kernel (bytecode replay vs the C kernel) -------------
 
 
 def bench_kernel(scale: ReproScale, repeats: int,
                  k: int = 8) -> Dict[str, Any]:
-    """Time the Stage-2 replay itself under each kernel backend.
+    """Time the Stage-2 replay itself, Python replay vs the C kernel.
 
     Same workload shape as :func:`bench_search_batch` (three
     benchmarks, a hill-climb-neighborhood candidate batch), but timing
@@ -318,9 +316,10 @@ def bench_kernel(scale: ReproScale, repeats: int,
     acceptance gate is on the Stage-2 replay, and the evaluator's
     fixed Stage-3/aggregation cost would dilute it.  Fresh policies
     are built inside the timed region (identical across arms, so the
-    ratio is unaffected).  The numba arm is timed only when numba is
-    importable, after one untimed warmup replay so JIT compilation is
-    excluded (steady-state cost is what a long search pays).
+    ratio is unaffected).  The C arm is timed only when the kernel
+    builds on this host, after one untimed replay so the one-off
+    compile is excluded (steady-state cost is what a long search
+    pays).
     """
     import random
 
@@ -366,28 +365,20 @@ def bench_kernel(scale: ReproScale, repeats: int,
             sim.run(upper_result.llc_stream, pc_trace=trace.pcs,
                     warmup=len(upper_result.llc_stream) // 4)
 
-    backends = available_backends()
     with _env("REPRO_STAGE2_KERNEL", "off"):
         python_s = _best_of(repeats, replay)
-    numpy_s = numba_s = None
-    if backends["numpy"]:
-        with _env("REPRO_STAGE2_KERNEL", "numpy"):
-            numpy_s = round(_best_of(repeats, replay), 6)
-    if backends["numba"]:
-        with _env("REPRO_STAGE2_KERNEL", "numba"):
-            replay()  # untimed JIT warmup
-            numba_s = round(_best_of(repeats, replay), 6)
+    c_s = None
+    if available_backends()["c"]:
+        with _env("REPRO_STAGE2_KERNEL", "auto"):
+            replay()  # untimed: loads (or first builds) the library
+            c_s = round(_best_of(repeats, replay), 6)
     return {
         "k": len(candidates),
         "segments": len(segments),
         "accesses": accesses,
         "python_s": round(python_s, 6),
-        "numpy_s": numpy_s,
-        "numba_s": numba_s,
-        "numpy_speedup": (round(python_s / numpy_s, 3)
-                          if numpy_s else None),
-        "numba_speedup": (round(python_s / numba_s, 3)
-                          if numba_s else None),
+        "c_s": c_s,
+        "c_speedup": round(python_s / c_s, 3) if c_s else None,
     }
 
 
@@ -855,20 +846,17 @@ def build_report(scale_name: str = "", benchmark: str = "soplex",
     """Run the full harness; returns the report payload."""
     import tempfile
 
-    from repro.sim.kernel import available_backends, backend_errors
+    from repro.sim.kernel import native_error
 
     scale = get_scale(scale_name)
-    errors = backend_errors()
+    error = native_error()
     report: Dict[str, Any] = {
         "schema": REPORT_SCHEMA,
         "scale": scale.name,
         "benchmark": benchmark,
         "accesses": scale.segment_accesses,
         "repeats": repeats,
-        "backends": {
-            name: {"available": present, "error": errors.get(name)}
-            for name, present in available_backends().items()
-        },
+        "backends": {"c": {"available": error is None, "error": error}},
         "hotpath": bench_hotpath(scale, benchmark, policies, repeats),
         "search-batch": bench_search_batch(scale, repeats),
         "kernel": bench_kernel(scale, repeats),
@@ -904,9 +892,9 @@ def check_report(report: Dict[str, Any],
       noise.
     * Batched K-candidate evaluation must not be slower than K
       per-candidate replays.
-    * The columnar numpy kernel must beat the batched bytecode replay
-      by at least :data:`KERNEL_MIN_SPEEDUP` on the Stage-2 replay
-      (skipped when numpy is unavailable on the host).
+    * The C kernel must beat the batched bytecode replay by at least
+      :data:`KERNEL_MIN_SPEEDUP` on the Stage-2 replay (skipped when
+      the kernel cannot be built on the host).
     * Telemetry must respect both budgets: the disabled path under
       :data:`TELEMETRY_DISABLED_BUDGET`, the fully enabled replay
       under :data:`TELEMETRY_ENABLED_BUDGET` overhead.
@@ -942,12 +930,12 @@ def check_report(report: Dict[str, Any],
                 f"(tolerance x{tolerance})"
             )
     kernel = report.get("kernel")
-    if kernel is not None and kernel.get("numpy_s"):
-        python_s, numpy_s = kernel["python_s"], kernel["numpy_s"]
-        if numpy_s * KERNEL_MIN_SPEEDUP > python_s * tolerance:
+    if kernel is not None and kernel.get("c_s"):
+        python_s, c_s = kernel["python_s"], kernel["c_s"]
+        if c_s * KERNEL_MIN_SPEEDUP > python_s * tolerance:
             failures.append(
-                f"kernel: numpy Stage-2 replay {numpy_s:.4f}s is only "
-                f"{python_s / numpy_s:.2f}x over the batched Python "
+                f"kernel: C Stage-2 replay {c_s:.4f}s is only "
+                f"{python_s / c_s:.2f}x over the batched Python "
                 f"path {python_s:.4f}s (required "
                 f"{KERNEL_MIN_SPEEDUP:.1f}x, tolerance x{tolerance})"
             )
@@ -1029,18 +1017,12 @@ def format_report(report: Dict[str, Any]) -> str:
         )
     kernel = report.get("kernel")
     if kernel is not None:
-        backends = report.get("backends", {})
         parts = [f"python {kernel['python_s']:.4f}s"]
-        for name in ("numpy", "numba"):
-            seconds = kernel.get(f"{name}_s")
-            entry = backends.get(name, False)
-            present = (entry.get("available") if isinstance(entry, dict)
-                       else bool(entry))
-            if seconds is not None:
-                parts.append(f"{name} {seconds:.4f}s "
-                             f"({kernel[f'{name}_speedup']:.2f}x)")
-            elif not present:
-                parts.append(f"{name} n/a")
+        if kernel.get("c_s") is not None:
+            parts.append(f"c {kernel['c_s']:.4f}s "
+                         f"({kernel['c_speedup']:.2f}x)")
+        else:
+            parts.append("c n/a")
         lines.append(
             f"  kernel  {kernel['k']} candidates x {kernel['segments']} "
             f"segments: " + "  ".join(parts)

@@ -486,18 +486,18 @@ class BatchLLCSimulator:
         as K sequential :meth:`LLCSimulator.run` calls would leave
         them.
 
-        When ``REPRO_STAGE2_KERNEL`` selects a columnar backend, the
-        replay runs through :mod:`repro.sim.kernel` instead of the
-        per-access Python loop; the kernel declines (returns ``None``)
-        on unsupported preconditions and this path then falls back to
-        the bytecode replay, so results are identical either way.
+        Unless ``REPRO_STAGE2_KERNEL`` is ``off`` (or no C compiler
+        is available), the replay runs through the C kernel of
+        :mod:`repro.sim.kernel` instead of the per-access Python loop;
+        the kernel declines (returns ``None``) on unsupported
+        preconditions and this path then falls back to the bytecode
+        replay, so results are identical either way.
         """
         replays = None
         from repro.sim.kernel import replay_batch, stage2_kernel_backend
 
-        backend = stage2_kernel_backend()
-        if backend != "off":
-            replays = replay_batch(self, stream, pc_trace, warmup, backend)
+        if stage2_kernel_backend() != "off":
+            replays = replay_batch(self, stream, pc_trace, warmup)
         if replays is None:
             columns = self._shared_pass(stream, pc_trace)
             replays = [

@@ -1,19 +1,12 @@
-"""Columnar multi-backend Stage-2 replay kernel.
+"""Columnar Stage-2 replay kernel.
 
 This package is the third strength reduction of the Stage-2 hot path
 (after the fused feature pipeline and the shared-context batch
 engine): it lowers a segment's Stage-1 LLC stream into numpy columns
-once (:mod:`~repro.sim.kernel.columns`) and replays every candidate
-through a backend compiled against that fixed schema —
-
-* ``numpy`` — always available when numpy imports: vectorized column
-  lowering plus a per-candidate ``exec``-specialized replay loop with
-  the sampler, perceptron sum, and replacement-policy walks inlined
-  (:mod:`~repro.sim.kernel.numpy_backend`);
-* ``numba`` — optional JIT tier: the same replay expressed over flat
-  arrays and ``numba.njit``-compiled on first use
-  (:mod:`~repro.sim.kernel.numba_backend`), with a one-line notice
-  and graceful fallback to ``numpy`` when requested but absent.
+once (:mod:`~repro.sim.kernel.columns`) and replays every MPPPB
+candidate over those columns through one C function (``replay.c``),
+built with the system C compiler on the first kernel replay and
+called through :mod:`ctypes` (:mod:`~repro.sim.kernel.native`).
 
 The same column front end (stream decode, PC-history gathers, the
 vectorized splitmix64) also lowers the per-access hashing of the
@@ -21,12 +14,12 @@ Perceptron and Hawkeye baselines once per replay; those policies still
 replay through :class:`~repro.sim.llc.LLCSimulator` and read the
 columns by stream index (:func:`stream_columns_enabled`).
 
-Selection follows the repo's knob pattern (``REPRO_STAGE2_BATCH``,
-``REPRO_STAGE3_VECTOR``): the ``REPRO_STAGE2_KERNEL`` environment
-variable picks ``off`` / ``numpy`` / ``numba``, defaulting to the best
-available backend, and — because every backend is bit-identical to
+The ``REPRO_STAGE2_KERNEL`` environment variable is ``auto`` (the
+default) or ``off``.  Because the kernel is bit-identical to
 :class:`~repro.sim.llc.LLCSimulator` (pinned by the determinism suite
-and ``tests/test_kernel.py``) — the knob never appears in cache keys.
+and ``tests/test_kernel.py``), the knob never appears in cache keys;
+without a working C compiler ``auto`` resolves to ``off`` with a
+one-line notice and the results do not change.
 """
 
 from __future__ import annotations
@@ -55,73 +48,44 @@ def _notice(key: str, message: str) -> None:
         print(f"repro: {message}", file=sys.stderr)
 
 
-def _numba_available() -> bool:
-    from repro.sim.kernel import numba_backend
-
-    return numba_backend.available()
-
-
 def available_backends() -> dict:
-    """Importability of each kernel backend (for perf reports)."""
-    return {"numpy": _np is not None, "numba": _numba_available()}
+    """Whether the C kernel builds and loads here (for perf reports)."""
+    return {"c": native_error() is None}
 
 
-def backend_errors() -> dict:
-    """Why each unavailable backend failed to import (``None`` = fine).
+def native_error() -> Optional[str]:
+    """Why the C kernel cannot run (``None`` = it can); builds it."""
+    if _np is None:
+        return f"numpy is not installed: {_np_error}"
+    from repro.sim.kernel import native
 
-    Keeps :func:`available_backends` a plain name→bool map (callers
-    parametrize tests on it) while letting perf reports record the
-    diagnosis — distinguishing "numba not installed" from "numba's
-    llvmlite wheel broke" without rerunning imports by hand.
-    """
-    from repro.sim.kernel import numba_backend
-
-    return {"numpy": _np_error, "numba": numba_backend.import_error()}
+    return native.load()[1]
 
 
 def stage2_kernel_backend() -> str:
-    """Resolve ``REPRO_STAGE2_KERNEL`` to ``off``/``numpy``/``numba``.
+    """Resolve ``REPRO_STAGE2_KERNEL`` to ``c`` or ``off``.
 
-    Unset (or ``auto``/``on``) picks the best importable backend —
-    numba when present, else numpy, else ``off``.  An explicit request
-    for a missing backend degrades one tier with a one-line notice
-    rather than failing: every backend produces bit-identical results,
-    so the choice is purely about speed.
+    Unset (or ``auto``/``on``) means the C kernel, which is compiled
+    here on first use.  Without numpy or a working C compiler it
+    resolves to ``off`` with a one-line notice: the Python replay
+    produces bit-identical results, so the choice is purely about
+    speed.
     """
     raw = os.environ.get("REPRO_STAGE2_KERNEL")
     value = (raw or "auto").strip().lower()
     if value in _DISABLED:
         return "off"
-    if value == "numpy":
-        if _np is None:
-            _notice("no-numpy",
-                    "REPRO_STAGE2_KERNEL=numpy but numpy is not "
-                    "installed; falling back to the Python replay "
-                    "(pip install 'repro[perf]')")
-            return "off"
-        return "numpy"
-    if value == "numba":
-        if _numba_available():
-            return "numba"
-        _notice("no-numba",
-                "REPRO_STAGE2_KERNEL=numba but numba is not installed; "
-                "falling back to the numpy kernel "
-                "(pip install 'repro[jit]')")
-        if _np is not None:
-            return "numpy"
-        _notice("no-numpy",
-                "numpy is not installed either; falling back to the "
-                "Python replay (pip install 'repro[perf]')")
-        return "off"
     if value not in _AUTO:
         _notice(f"unknown-{value}",
                 f"unknown REPRO_STAGE2_KERNEL={raw!r}; using automatic "
-                "backend selection (off|numpy|numba)")
-    if _numba_available():
-        return "numba"
-    if _np is not None:
-        return "numpy"
-    return "off"
+                "backend selection (off|auto)")
+    why = native_error()
+    if why is not None:
+        _notice("no-c-kernel",
+                f"Stage-2 C kernel unavailable ({why}); falling back to "
+                "the Python replay")
+        return "off"
+    return "c"
 
 
 def stream_columns_enabled() -> bool:
@@ -131,7 +95,7 @@ def stream_columns_enabled() -> bool:
     :func:`~repro.sim.kernel.columns.pc_hash_column`) needs numpy only;
     ``REPRO_STAGE2_KERNEL=off`` keeps the scalar per-access hashing, so
     the kernel-off mode stays the pure-Python reference replay.  Unlike
-    :func:`stage2_kernel_backend` this never probes for numba.
+    :func:`stage2_kernel_backend` this never builds the C kernel.
     """
     if _np is None:
         return False
@@ -140,8 +104,8 @@ def stream_columns_enabled() -> bool:
 
 
 def replay_batch(sim, stream: Sequence, pc_trace: Sequence[int],
-                 warmup: int, backend: str) -> Optional[List]:
-    """Replay all candidates of ``sim`` through ``backend``.
+                 warmup: int) -> Optional[List]:
+    """Replay all candidates of ``sim`` through the C kernel.
 
     Returns one :class:`~repro.sim.llc.LLCResult` per candidate, or
     ``None`` when a precondition fails — the caller
@@ -153,27 +117,20 @@ def replay_batch(sim, stream: Sequence, pc_trace: Sequence[int],
     if _np is None:
         return None
     from repro.sim.kernel import columns as _columns
+    from repro.sim.kernel import native
 
     first = sim.policies[0].sampler
-    cols = _columns.lower_stream(
-        stream,
-        pc_trace,
-        sim.num_sets,
-        first.mapper._stride,
-        first.mapper.sampler_sets,
-        first.tag_bits,
-        sim._slots,
-        sim._needs_h,
-    )
-    if backend == "numba":
-        from repro.sim.kernel import numba_backend
-
-        if numba_backend.available():
-            return numba_backend.replay_all(sim, cols, warmup)
-        _notice("no-numba",
-                "REPRO_STAGE2_KERNEL=numba but numba is not installed; "
-                "falling back to the numpy kernel "
-                "(pip install 'repro[jit]')")
-    from repro.sim.kernel import numpy_backend
-
-    return numpy_backend.replay_all(sim, cols, warmup)
+    try:
+        cols = _columns.lower_stream(
+            stream,
+            pc_trace,
+            sim.num_sets,
+            first.mapper._stride,
+            first.mapper.sampler_sets,
+            first.tag_bits,
+            sim._slots,
+            sim._needs_h,
+        )
+    except OverflowError:  # a PC or address beyond int64
+        return None
+    return native.replay_all(sim, cols, warmup)

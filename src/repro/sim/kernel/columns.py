@@ -20,13 +20,12 @@ Every column is bit-identical to what
 scalar Python integers; ``tests/test_kernel.py`` pins the round trip.
 All intermediate arithmetic runs in ``uint64`` (64-bit address/PC
 slices and the hash multiplies overflow ``int64``) and results are
-narrowed to ``int64`` at the end, whose ``.tolist()`` yields the plain
-Python ints the replay backends index with.
+narrowed to ``int64`` at the end, the type the C replay kernel reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -136,9 +135,6 @@ class StreamColumns:
     ``cols`` holds one ``int64`` array per shared slot in the batch
     engine's slot layout — slot 0 is the hashed PC when any feature
     XORs — so a per-candidate ``("slot", j)`` entry reads ``cols[j]``.
-    The numpy replay backend indexes Python lists (scalar ``list``
-    subscripts beat zero-dim numpy scalars by a wide margin in a
-    bytecode loop); :meth:`as_lists` materializes them once, lazily.
     """
 
     n: int
@@ -148,20 +144,6 @@ class StreamColumns:
     samp_idxs: Any
     prefetch: Any
     cols: List[Any]
-    _lists: Optional[Tuple] = field(default=None, repr=False)
-
-    def as_lists(self) -> Tuple:
-        """Python-list views: (blocks, sets, tags, samps, pf, cols)."""
-        if self._lists is None:
-            self._lists = (
-                self.blocks.tolist(),
-                self.set_idxs.tolist(),
-                self.tags.tolist(),
-                self.samp_idxs.tolist(),
-                self.prefetch.tolist(),
-                [col.tolist() for col in self.cols],
-            )
-        return self._lists
 
 
 def lower_stream(

@@ -193,7 +193,7 @@ class TestLoweredReplayIsBitIdentical:
         predictor = PerceptronPredictor(SETS)
         with predictor.bind_stream([], []):
             assert predictor._rows is None
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "numpy")
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "auto")
         assert kernel_mod.stream_columns_enabled()
 
 

@@ -37,6 +37,18 @@ class TestParser:
         assert args.telemetry is True
         assert build_parser().parse_args(["compare"]).telemetry is False
 
+    @pytest.mark.parametrize("value", ["numba", "numpy"])
+    def test_retired_stage2_kernels_rejected(self, value, capsys):
+        """Only off|auto remain; the retired backends exit 2 at parse."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--stage2-kernel", value, "compare"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        for ok in ("off", "auto"):
+            args = build_parser().parse_args(["--stage2-kernel", ok,
+                                              "compare"])
+            assert args.stage2_kernel == ok
+
     def test_stats_arguments(self):
         args = build_parser().parse_args(["stats"])
         assert not args.run_id

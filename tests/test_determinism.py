@@ -22,7 +22,6 @@ from repro.config import TINY
 from repro.exec import MixCell, ParallelRunner, SingleCell, SuiteSpec, TraceSpec
 from repro.exec.cachekey import stable_hash
 from repro.exec.store import ResultStore
-from repro.sim.kernel import available_backends
 from repro.traces.mixes import generate_mixes
 from repro.traces.workloads import build_suite
 
@@ -48,15 +47,16 @@ BASELINE_HASH = "ace5323779d450722c32f9a7efce6f30ab4b2e7418337bca07038a5d8753957
 BASELINE_MIX_POLICIES = ("perceptron", "hawkeye")
 BASELINE_MIX_HASH = "4686c853d78f1453913b92cd84aa97442263e3c3c829fb960049a087d77d7561"
 
-# Stage-2 kernel backends: "off" always exists (per-access Python
-# replay); accelerated backends run wherever their import succeeds.
-_AVAILABLE = available_backends()
-_KERNEL_BACKENDS = ["off"] + [
-    pytest.param(name,
-                 marks=pytest.mark.skipif(not present,
-                                          reason=f"{name} not installed"))
-    for name, present in _AVAILABLE.items()
-]
+# Stage-2 kernel modes: "off" is the per-access Python replay, and
+# "default" leaves REPRO_STAGE2_KERNEL unset (the C kernel).
+_KERNEL_BACKENDS = ["off", "default"]
+
+
+def _set_kernel(monkeypatch, backend):
+    if backend == "default":
+        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", backend)
 
 
 def _single_cells(policies=POLICIES):
@@ -158,8 +158,8 @@ class TestPinnedHashes:
 
     @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
     def test_stage2_kernel_backends(self, backend, monkeypatch):
-        """Every Stage-2 kernel backend reproduces the pinned hashes."""
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", backend)
+        """The C kernel and the Python replay reproduce the pinned hashes."""
+        _set_kernel(monkeypatch, backend)
         _assert_pinned(ParallelRunner(jobs=1, store=None, verbose=False))
 
 
@@ -177,9 +177,9 @@ def _assert_baseline_pinned(engine):
 class TestBaselinePins:
     """The baseline predictors (Perceptron, Hawkeye, SDBP, SHiP, DRRIP,
     MIN) pin like the MPPPB cells: serial, parallel, cold and warm
-    store, and under every Stage-2 kernel backend — ``off`` replays
+    store, and with the Stage-2 kernel on and ``off`` — ``off`` replays
     Perceptron and Hawkeye through their scalar per-access hashing,
-    the others through the lowered stream columns."""
+    the default through the lowered stream columns."""
 
     def test_serial_no_store(self):
         _assert_baseline_pinned(ParallelRunner(jobs=1, store=None,
@@ -199,7 +199,7 @@ class TestBaselinePins:
 
     @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
     def test_stage2_kernel_backends(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", backend)
+        _set_kernel(monkeypatch, backend)
         _assert_baseline_pinned(ParallelRunner(jobs=1, store=None,
                                                verbose=False))
 
@@ -599,6 +599,7 @@ class TestSearchPinned:
 
     @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
     def test_stage2_kernel_backends(self, backend, monkeypatch):
-        """The batched search replay pins identically per kernel backend."""
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", backend)
+        """The batched search replay pins identically with the kernel on
+        and off."""
+        _set_kernel(monkeypatch, backend)
         assert _search_hash() == SEARCH_HASH

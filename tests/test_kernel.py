@@ -1,4 +1,4 @@
-"""Columnar Stage-2 kernel: lowering, backends, knob, and fallbacks.
+"""Columnar Stage-2 kernel: lowering, the C replay, knob, and fallbacks.
 
 Three contracts, each pinned independently:
 
@@ -6,20 +6,21 @@ Three contracts, each pinned independently:
   reproduce the batch engine's scalar shared pass column for column
   (blocks, set indices, partial tags, sampler sets, prefetch flags,
   and every deduplicated static feature slot).
-* **Replay** — both kernel backends (the exec-specialized numpy loop
-  and the flat-array numba kernel, exercised undecorated so the test
-  runs without numba installed) must finish bit-identical to
+* **Replay** — the C kernel must finish bit-identical to
   :class:`~repro.sim.llc.LLCSimulator`: outcomes, stats, policy
-  counters, sampler entries, and perceptron weights.  A hypothesis
+  counters, sampler entries, and perceptron weights, also when a
+  second replay continues on the same policy objects.  A hypothesis
   lockstep drive over adversarial random streams backs the fixed
   workloads.
-* **Selection** — ``REPRO_STAGE2_KERNEL`` resolves per the knob
-  table; a requested-but-missing backend degrades one tier with a
-  one-line stderr notice, never an exception; unsupported cache
-  preconditions make the kernel decline so the batch engine falls
-  back to the Python replay with identical results.
+* **Selection and fallbacks** — ``REPRO_STAGE2_KERNEL`` resolves per
+  the knob table; a missing compiler degrades to the Python replay
+  with a one-line stderr notice, never an exception; inputs the C code
+  cannot index safely, and unsupported cache preconditions, make the
+  kernel decline so the batch engine falls back to the Python replay
+  with identical results.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -39,7 +40,7 @@ from repro.traces.workloads import build_segments
 np = pytest.importorskip("numpy")
 
 from repro.sim.kernel import columns as columns_mod  # noqa: E402
-from repro.sim.kernel import numba_backend, numpy_backend  # noqa: E402
+from repro.sim.kernel import native  # noqa: E402
 
 LLC_BYTES = TINY.hierarchy.llc_bytes
 WAYS = TINY.hierarchy.llc_ways
@@ -135,7 +136,7 @@ def test_columns_empty_history_and_stream():
     sim = _batch(_configs(k=2))
     cols = _lower(sim, [], [])
     assert cols.n == 0
-    assert cols.as_lists()[0] == []
+    assert cols.blocks.tolist() == []
     access = LLCAccess(pc=0x4000, block=17, offset=8, is_write=False,
                        is_prefetch=False, mem_index=0, instr_index=0)
     blocks, *_rest, slot_values = sim._shared_pass([access], [])
@@ -176,41 +177,50 @@ _access_st = st.tuples(
 )
 
 
+def _assert_batch_matches_sequential(streams, configs, warmups):
+    """Replay ``streams`` one after another through the C kernel, each
+    on a fresh simulator over the *same* policy objects (as
+    ``replay_segment`` does per segment), against LLCSimulator."""
+    policies = [MPPPBPolicy(NUM_SETS, WAYS, c) for c in configs]
+    seq_policies = [MPPPBPolicy(NUM_SETS, WAYS, c) for c in configs]
+    for (stream, pcs), warmup in zip(streams, warmups):
+        sim = BatchLLCSimulator(LLC_BYTES, WAYS, policies)
+        results = native.replay_all(sim, _lower(sim, stream, pcs), warmup)
+        assert results is not None
+        for policy, seq_policy, result in zip(policies, seq_policies,
+                                              results):
+            seq_sim = LLCSimulator(LLC_BYTES, WAYS, seq_policy)
+            seq_result = seq_sim.run(stream, pc_trace=pcs, warmup=warmup)
+            _assert_identical(result, policy, seq_result, seq_policy)
+            assert sim.caches[policies.index(policy)].tags == \
+                seq_sim.cache.tags
+            assert sim.caches[policies.index(policy)].valid == \
+                seq_sim.cache.valid
+
+
 class TestLockstep:
     @settings(max_examples=40, deadline=None)
-    @given(picks=st.lists(_access_st, min_size=1, max_size=120),
+    @given(first=st.lists(_access_st, min_size=1, max_size=120),
+           second=st.lists(_access_st, min_size=0, max_size=60),
            warmup=st.integers(min_value=0, max_value=130),
            seed=st.integers(min_value=0, max_value=2**16),
            default_policy=st.sampled_from(["mdpp", "srrip"]))
-    def test_numpy_kernel_lockstep(self, picks, warmup, seed,
-                                   default_policy):
-        """Random streams: numpy kernel == LLCSimulator, per access."""
-        stream, pcs = _synthetic_stream(picks)
+    def test_c_kernel_lockstep(self, first, second, warmup, seed,
+                               default_policy):
+        """Random streams: C kernel == LLCSimulator, per access, over
+        the warm/measured split and a second replay that continues on
+        the same policy objects."""
         configs = _configs(seed=seed, k=2, default_policy=default_policy)
-        sim = _batch(configs)
-        cols = _lower(sim, stream, pcs)
-        results = numpy_backend.replay_all(sim, cols, warmup)
-        assert results is not None
-        for config, policy, result in zip(configs, sim.policies, results):
-            seq_result, seq_policy = _sequential(stream, pcs, config,
-                                                 warmup)
-            _assert_identical(result, policy, seq_result, seq_policy)
+        _assert_batch_matches_sequential(
+            [_synthetic_stream(first), _synthetic_stream(second)],
+            configs, [warmup, warmup // 2])
 
     @pytest.mark.parametrize("default_policy", ["mdpp", "srrip"])
-    def test_numba_semantics_lockstep(self, stage1, default_policy):
-        """The numba kernel's semantics, run undecorated, match the
-        sequential simulator on a real workload — so the JIT leg in CI
-        only re-proves compilation, not logic."""
-        stream, pcs = stage1
-        configs = _configs(k=3, default_policy=default_policy)
-        sim = _batch(configs)
-        cols = _lower(sim, stream, pcs)
-        results = numba_backend.replay_all(
-            sim, cols, warmup=500, kernel=numba_backend._kernel_py)
-        assert results is not None
-        for config, policy, result in zip(configs, sim.policies, results):
-            seq_result, seq_policy = _sequential(stream, pcs, config, 500)
-            _assert_identical(result, policy, seq_result, seq_policy)
+    def test_real_workload_lockstep(self, stage1, default_policy):
+        """A real workload and three candidates, replayed twice."""
+        _assert_batch_matches_sequential(
+            [stage1, stage1], _configs(k=3, default_policy=default_policy),
+            [500, 0])
 
 
 # -- backend selection and fallbacks ---------------------------------------
@@ -229,48 +239,69 @@ class TestKnob:
             assert kernel_mod.stage2_kernel_backend() == "off"
 
     def test_auto_prefers_best_available(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
-        resolved = kernel_mod.stage2_kernel_backend()
-        if kernel_mod._numba_available():
-            assert resolved == "numba"
-        else:
-            assert resolved == "numpy"  # numpy importorskip'd above
+        for value in (None, "auto", "on"):
+            if value is None:
+                monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_STAGE2_KERNEL", value)
+            assert kernel_mod.stage2_kernel_backend() == "c"
 
     def test_unknown_value_degrades_to_auto(self, monkeypatch,
                                             fresh_notices, capsys):
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "gpu")
-        auto = kernel_mod.stage2_kernel_backend()
-        monkeypatch.delenv("REPRO_STAGE2_KERNEL")
-        assert auto == kernel_mod.stage2_kernel_backend()
-        assert "unknown REPRO_STAGE2_KERNEL" in capsys.readouterr().err
+        """Unknown values — the retired numpy/numba backends included —
+        resolve like ``auto``, with one notice each."""
+        for value in ("gpu", "numpy", "numba"):
+            monkeypatch.setenv("REPRO_STAGE2_KERNEL", value)
+            assert kernel_mod.stage2_kernel_backend() == "c"
+            err = capsys.readouterr().err
+            assert f"unknown REPRO_STAGE2_KERNEL={value!r}" in err
+            assert err.count("\n") == 1
 
-    def test_missing_numba_falls_back_to_numpy(self, monkeypatch,
-                                               fresh_notices, capsys):
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "numba")
-        monkeypatch.setattr(kernel_mod, "_numba_available", lambda: False)
-        assert kernel_mod.stage2_kernel_backend() == "numpy"
+    def test_missing_compiler_falls_back_to_off(self, stage1, monkeypatch,
+                                                fresh_notices, capsys):
+        """No ``cc``: one notice, ``off``, and identical batch results."""
+        stream, pcs = stage1
+        configs = _configs(k=2)
+        kernel_sim = _batch(configs)
+        kernel_results = kernel_sim.run(stream, pc_trace=pcs, warmup=300)
+
+        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
+        monkeypatch.setattr(native, "_compiler", lambda: None)
+        monkeypatch.setattr(native, "_kernel", None)
+        monkeypatch.setattr(native, "_load_error", None)
+        assert kernel_mod.stage2_kernel_backend() == "off"
+        assert kernel_mod.stage2_kernel_backend() == "off"
         err = capsys.readouterr().err
-        assert "numba is not installed" in err
-        assert err.count("\n") == 1  # exactly one line
-        # Dedup: a second resolution stays silent.
-        assert kernel_mod.stage2_kernel_backend() == "numpy"
-        assert capsys.readouterr().err == ""
+        assert "C kernel unavailable" in err
+        assert err.count("\n") == 1  # exactly one line, deduplicated
+        sim = _batch(configs)
+        results = sim.run(stream, pc_trace=pcs, warmup=300)
+        assert results == kernel_results
+        for policy, kernel_policy in zip(sim.policies, kernel_sim.policies):
+            assert _sampler_state(policy) == _sampler_state(kernel_policy)
+            assert policy.predictor._weights == \
+                kernel_policy.predictor._weights
 
     def test_missing_numpy_disables_kernel(self, monkeypatch,
                                            fresh_notices, capsys):
         monkeypatch.setattr(kernel_mod, "_np", None)
-        monkeypatch.setattr(kernel_mod, "_numba_available", lambda: False)
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "numpy")
+        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
         assert kernel_mod.stage2_kernel_backend() == "off"
         assert "falling back to the Python replay" in capsys.readouterr().err
-        monkeypatch.delenv("REPRO_STAGE2_KERNEL")
-        assert kernel_mod.stage2_kernel_backend() == "off"
-        assert kernel_mod.replay_batch(None, [], [], 0, "numpy") is None
+        assert kernel_mod.replay_batch(None, [], [], 0) is None
 
     def test_available_backends_report(self):
-        report = kernel_mod.available_backends()
-        assert report["numpy"] is True
-        assert isinstance(report["numba"], bool)
+        assert kernel_mod.available_backends() == {"c": True}
+
+    def test_library_is_cached_by_content(self):
+        """The build lands in the package's __pycache__ under its hash
+        and a second build reuses it."""
+        path = native._build(native._compiler())
+        assert path.parent == native._SOURCE.parent / "__pycache__"
+        assert len(path.stem) == 64
+        mtime = path.stat().st_mtime_ns
+        assert native._build(native._compiler()) == path
+        assert path.stat().st_mtime_ns == mtime
 
 
 class TestFallbacks:
@@ -285,9 +316,9 @@ class TestFallbacks:
         # is no longer a prefix, which the columnar fill cursor cannot
         # represent.
         sim.caches[0].install(0, 1, NUM_SETS * 5)
-        assert numpy_backend.prefix_fills(sim.caches[0]) is None
+        assert native.prefix_fills(sim.caches[0]) is None
         cols = _lower(sim, stream, pcs)
-        assert numpy_backend.replay_all(sim, cols, 100) is None
+        assert native.replay_all(sim, cols, 100) is None
         results = sim.run(stream, pc_trace=pcs, warmup=100)
 
         seq_policy = MPPPBPolicy(NUM_SETS, WAYS, config)
@@ -297,18 +328,60 @@ class TestFallbacks:
         _assert_identical(results[0], sim.policies[0], seq_result,
                           seq_policy)
 
+    def _assert_declines(self, stage1, configs, monkeypatch):
+        """``sim.run`` reaches the kernel, which declines before touching
+        any state; the Python fallback matches LLCSimulator."""
+        stream, pcs = stage1
+        returned = []
+        original = native.replay_all
+
+        def spy(sim, cols, warmup):
+            assert all(not row for row in sim.policies[0].sampler._sets)
+            returned.append(original(sim, cols, warmup))
+            assert all(not row for row in sim.policies[0].sampler._sets)
+            return returned[-1]
+
+        monkeypatch.setattr(native, "replay_all", spy)
+        sim = _batch(configs)
+        results = sim.run(stream, pc_trace=pcs, warmup=200)
+        assert returned == [None]
+        for config, policy, result in zip(configs, sim.policies, results):
+            seq_result, seq_policy = _sequential(stream, pcs, config, 200)
+            _assert_identical(result, policy, seq_result, seq_policy)
+
+    def test_out_of_range_column_declines(self, stage1, monkeypatch):
+        """A slot column index beyond its weight table: C would read out
+        of bounds, so the preflight declines."""
+        lower = columns_mod.lower_stream
+
+        def corrupt(*args, **kwargs):
+            cols = lower(*args, **kwargs)
+            bad = cols.cols[-1].copy()
+            bad[len(bad) // 2] = 1 << 20
+            cols.cols[-1] = bad
+            return cols
+
+        monkeypatch.setattr(columns_mod, "lower_stream", corrupt)
+        self._assert_declines(stage1, _configs(k=2), monkeypatch)
+
+    def test_float_threshold_declines(self, stage1, monkeypatch):
+        """The C ABI takes int64 thresholds; a float would be truncated."""
+        configs = _configs(k=2)
+        configs[1] = dataclasses.replace(configs[1], tau_bypass=110.5)
+        self._assert_declines(stage1, configs, monkeypatch)
+
     def test_batch_run_uses_kernel(self, stage1, monkeypatch):
         """BatchLLCSimulator.run really routes through the kernel."""
         stream, pcs = stage1
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "numpy")
+        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
         calls = []
-        original = numpy_backend.replay_all
+        original = native.replay_all
 
         def spy(sim, cols, warmup):
             calls.append(warmup)
             return original(sim, cols, warmup)
 
-        monkeypatch.setattr(numpy_backend, "replay_all", spy)
+        monkeypatch.setattr(native, "replay_all", spy)
         sim = _batch(_configs(k=2))
         sim.run(stream, pc_trace=pcs, warmup=250)
         assert calls == [250]
