@@ -2,9 +2,9 @@
 
 Unlike the ``bench_fig*`` files (which reproduce paper figures), this
 bench measures the *simulator itself*: trace synthesis, Stage-1
-filtering, the per-policy Stage-2 replay under both feature pipelines
-(``fused`` vs ``legacy``), and a 3-policy compare against cold and
-warm artifact caches.  It writes ``BENCH_hotpath.json``, which the CI
+filtering, the per-policy Stage-2 replay, the C kernel against the
+reference replay, and a 3-policy compare against cold and warm
+artifact caches.  It writes ``BENCH_hotpath.json``, which the CI
 perf-smoke job uploads and gates on.
 
 Run standalone::

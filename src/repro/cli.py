@@ -750,10 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Accelerator knobs (all bit-identical to the reference "
                "simulator): REPRO_STAGE2_KERNEL=off|auto turns the C "
                "Stage-2 replay kernel off or on (default: auto, built "
-               "with cc on first use; without a compiler it is off), "
-               "REPRO_STAGE2_BATCH=off disables shared-context "
-               "batching, REPRO_STAGE3_VECTOR=off disables vectorized "
-               "timing, REPRO_GRAPH=off disables the cost-aware "
+               "with cc on first use; without a compiler it is off); "
+               "REPRO_GRAPH=off disables the cost-aware "
                "experiment-graph scheduler.  --stage2-kernel and --graph "
                "override their knobs for one invocation.  Real traces: "
                "--trace-file/--trace-format (or REPRO_TRACE_FILE, "
@@ -796,9 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--steps", type=int, default=10)
     search.add_argument("--seed", type=int, default=2017)
     search.add_argument("--batch-size", type=int, default=None, metavar="K",
-                        help="candidates per shared-context Stage-2 replay "
-                             "(default: whole generation; "
-                             "REPRO_STAGE2_BATCH=off disables batching)")
+                        help="candidates per batched Stage-2 replay "
+                             "(default: whole generation)")
     _add_scale(search)
     _add_trace(search)
     _add_exec(search)
@@ -828,10 +825,10 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--output", default="BENCH_hotpath.json",
                       metavar="PATH")
     perf.add_argument("--check", action="store_true",
-                      help="exit 1 if the fused pipeline is slower than "
-                           "the legacy path")
+                      help="exit 1 if any perf gate fails (kernel "
+                           "speedup, telemetry, ingest, graph, fleet)")
     perf.add_argument("--tolerance", type=float, default=1.0,
-                      help="allowed fused/legacy ratio for --check")
+                      help="slack factor on every --check bound")
     _add_scale(perf)
     perf.set_defaults(func=cmd_perf)
 

@@ -13,8 +13,7 @@ training rule.
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.cache.access import AccessContext
 from repro.core.features import Feature, compile_fused
@@ -25,46 +24,26 @@ CONFIDENCE_BITS = 9
 CONFIDENCE_MIN = -(1 << (CONFIDENCE_BITS - 1))   # -256
 CONFIDENCE_MAX = (1 << (CONFIDENCE_BITS - 1)) - 1  # +255
 
-PIPELINES = ("fused", "legacy")
-
-
-def default_pipeline() -> str:
-    """Index-pipeline selector: ``REPRO_FEATURE_PIPELINE`` or ``fused``.
-
-    ``legacy`` keeps the original one-closure-per-feature path; both
-    produce bit-identical indices (the fused compiler is a pure
-    strength reduction), so the choice never appears in cache keys.
-    The knob exists for the perf harness, which times one against the
-    other.
-    """
-    return os.environ.get("REPRO_FEATURE_PIPELINE", "fused")
-
 
 class MultiperspectivePredictor(ReusePredictor):
     """Hashed-perceptron dead-block predictor over parameterized features."""
 
     name = "multiperspective"
 
-    def __init__(self, features: Sequence[Feature],
-                 pipeline: Optional[str] = None) -> None:
+    def __init__(self, features: Sequence[Feature]) -> None:
         if not features:
             raise ValueError("predictor needs at least one feature")
         self.features: Tuple[Feature, ...] = tuple(features)
         self.tables: List[WeightTable] = [
             WeightTable(f.table_size) for f in self.features
         ]
-        self.pipeline = pipeline or default_pipeline()
-        if self.pipeline not in PIPELINES:
-            raise ValueError(
-                f"unknown feature pipeline {self.pipeline!r}; "
-                f"choose from {PIPELINES}"
-            )
-        if self.pipeline == "fused":
-            # Shadows the method with the compiled fused index function:
-            # one call per access instead of one per feature.
-            self.indices = compile_fused(self.features)
-        else:
-            self._index_fns = [f.compile() for f in self.features]
+        # The per-feature table indices for an access, as one compiled
+        # call: the vector stored in a sampler entry (Section 3.3) so
+        # training can reach the exact weights that produced the
+        # block's last confidence value.  ``Feature.compile`` is the
+        # per-feature reference it is tested against.
+        self.indices: Callable[[AccessContext], List[int]] = (
+            compile_fused(self.features))
         self.associativities: Tuple[int, ...] = tuple(
             f.associativity for f in self.features
         )
@@ -80,21 +59,6 @@ class MultiperspectivePredictor(ReusePredictor):
     @property
     def confidence_range(self) -> float:
         return float(CONFIDENCE_MAX)
-
-    def indices(self, ctx: AccessContext) -> List[int]:
-        """The per-feature table indices for this access.
-
-        This is the vector stored in a sampler entry (Section 3.3) so
-        training can reach the exact weights that produced the block's
-        last confidence value.
-
-        On the default ``fused`` pipeline this method is shadowed by an
-        instance attribute holding the compiled fused index function
-        (:func:`repro.core.features.compile_fused`); this body is the
-        ``legacy`` per-closure path the perf harness benchmarks
-        against.
-        """
-        return [fn(ctx) for fn in self._index_fns]
 
     def predict(self, indices: Sequence[int]) -> int:
         """Sum the selected weights into a saturated 9-bit confidence."""

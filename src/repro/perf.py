@@ -7,7 +7,7 @@ policy compare against cold and warm artifact caches, producing the
 Report schema (``REPORT_SCHEMA``)::
 
     {
-      "schema": 9,                # REPORT_SCHEMA, not the cache schema
+      "schema": 10,               # REPORT_SCHEMA, not the cache schema
       "scale": "tiny",
       "benchmark": "soplex",      # hot-path micro-benchmark workload
       "accesses": 4000,
@@ -21,20 +21,14 @@ Report schema (``REPORT_SCHEMA``)::
       "hotpath": {
         "trace_gen_s": float,     # synthesize all segments once
         "stage1_s": float,        # upper-level hierarchy, all segments
-        "stage2": {               # per policy: replay, both pipelines
-          "<policy>": {"fused": float, "legacy": float}
+        "stage2": {               # per policy: Stage 2+3 replay
+          "<policy>": float
         }
-      },
-      "search-batch": {           # K-candidate evaluation, both engines
-        "k": int, "segments": int, "accesses": int,
-        "sequential_s": float,    # REPRO_STAGE2_BATCH=off (per candidate)
-        "batched_s": float,       # shared-context batch replay
-        "speedup": float          # sequential_s / batched_s
       },
       "kernel": {                 # columnar Stage-2 replay kernel
         "k": int, "segments": int, "accesses": int,
-        "python_s": float,        # REPRO_STAGE2_KERNEL=off (batched
-                                  # bytecode replay, the PR 3 path)
+        "python_s": float,        # REPRO_STAGE2_KERNEL=off (the
+                                  # per-candidate LLCSimulator replay)
         "c_s": float|null,        # the C kernel (post-build)
         "c_speedup": float|null   # python_s / c_s
       },
@@ -90,13 +84,10 @@ Report schema (``REPORT_SCHEMA``)::
 
 All timings are best-of-``repeats`` wall seconds: minimums are far more
 stable than means on shared CI runners.  :func:`check_report` gates
-three strength reductions that must never regress — fused-vs-legacy
-Stage 2 (``mpppb*`` policies only — nothing else uses the feature
-pipeline), batched-vs-sequential candidate evaluation, and the columnar
-C kernel (at least :data:`KERNEL_MIN_SPEEDUP` x over the batched
-bytecode replay) — plus the telemetry disabled-path budget (estimated
-instrumentation cost with telemetry off must stay under 2% of a
-Stage-2 replay).
+the columnar C kernel (at least :data:`KERNEL_MIN_SPEEDUP` x over the
+per-candidate reference replay) and the telemetry disabled-path budget
+(estimated instrumentation cost with telemetry off must stay under 2%
+of a Stage-2 replay), among the bounds it lists.
 
 Micro-benchmarks that time a *specific* Stage-2 implementation pin
 ``REPRO_STAGE2_KERNEL`` explicitly, so the measurements keep meaning
@@ -118,7 +109,7 @@ from repro.sim.single import SingleThreadRunner
 from repro.traces.trace import Segment
 from repro.traces.workloads import build_segments
 
-REPORT_SCHEMA = 9
+REPORT_SCHEMA = 10
 # Instrumentation with telemetry disabled may cost at most this
 # fraction of a Stage-2 replay (the obs layer's headline promise).
 TELEMETRY_DISABLED_BUDGET = 0.02
@@ -135,8 +126,8 @@ TELEMETRY_ENABLED_BUDGET = 0.15
 # tiny-scale warm run; the factor bounds everything that does scale.
 GRAPH_MAX_SLOWDOWN = 1.05
 GRAPH_OVERHEAD_ALLOWANCE_S = 0.02
-# The C Stage-2 kernel must beat the batched bytecode replay by at
-# least this factor on the Stage-2 replay itself.
+# The C Stage-2 kernel must beat the per-candidate reference replay
+# (LLCSimulator) by at least this factor on the Stage-2 replay itself.
 KERNEL_MIN_SPEEDUP = 1.5
 # The worker-fleet backend may tax an artifact-warm compare by at most
 # this factor over the local pool, plus the measured transport startup
@@ -182,11 +173,6 @@ def _env(name: str, value: str):
             os.environ[name] = old
 
 
-def _pipeline(name: str):
-    """Pin ``REPRO_FEATURE_PIPELINE`` for the duration of a timing."""
-    return _env("REPRO_FEATURE_PIPELINE", name)
-
-
 # -- stage micro-benchmarks ------------------------------------------------
 
 
@@ -213,108 +199,36 @@ def bench_hotpath(scale: ReproScale, benchmark: str,
     for segment in segments:
         runner.upper_result(segment)
 
-    # Fused-vs-legacy times the *sequential* feature pipelines, so the
-    # columnar kernel (which bypasses per-access feature evaluation
-    # entirely and has its own bench section) is pinned off here.
-    stage2: Dict[str, Dict[str, float]] = {}
-    with _env("REPRO_STAGE2_KERNEL", "off"):
-        for policy in policies:
-            timings: Dict[str, float] = {}
-            for pipeline in ("fused", "legacy"):
-                with _pipeline(pipeline):
-                    timings[pipeline] = _best_of(repeats, lambda: [
-                        runner.run_segment(s, policy_factory(policy, None))
-                        for s in segments
-                    ])
-            stage2[policy] = timings
-
+    stage2 = {
+        policy: round(_best_of(repeats, lambda: [
+            runner.run_segment(s, policy_factory(policy, None))
+            for s in segments
+        ]), 6)
+        for policy in policies
+    }
     return {
         "trace_gen_s": round(trace_gen_s, 6),
         "stage1_s": round(stage1_s, 6),
-        "stage2": {p: {k: round(v, 6) for k, v in t.items()}
-                   for p, t in stage2.items()},
+        "stage2": stage2,
     }
 
 
-# -- batched candidate evaluation (search hot path) ------------------------
-
-
-def bench_search_batch(scale: ReproScale, repeats: int,
-                       k: int = 8) -> Dict[str, Any]:
-    """Time a K-candidate evaluation, per-candidate vs batch replay.
-
-    Mirrors the ``search`` command's workload (three benchmarks at a
-    quarter of the scale's accesses) and candidate shape (a Table 1a
-    base plus distinct single-feature perturbations — exactly a
-    hill-climb neighborhood).  Stage 1 is pre-warmed and the MPKI memo
-    cleared before every repetition, so the two timings isolate the
-    Stage-2/3 evaluation engines the ``REPRO_STAGE2_BATCH`` knob picks
-    between.
-    """
-    import random
-
-    from repro.core.features import parse_feature_set, perturb_feature
-    from repro.core.presets import TABLE_1A_SPECS
-    from repro.search.evaluator import FeatureSetEvaluator
-    from repro.traces.workloads import all_segments
-
-    accesses = max(2_000, scale.segment_accesses // 4)
-    segments = all_segments(scale.hierarchy.llc_bytes, accesses,
-                            names=["gamess", "lbm", "soplex"])
-    evaluator = FeatureSetEvaluator(segments, scale.hierarchy,
-                                    warmup_fraction=scale.warmup_fraction)
-    for segment in segments:
-        evaluator.runner.upper_result(segment)
-
-    rng = random.Random(2017)
-    base = list(parse_feature_set(TABLE_1A_SPECS))
-    candidates = [tuple(base)]
-    seen = {tuple(feature.spec() for feature in base)}
-    while len(candidates) < k:
-        mutated = list(base)
-        victim = rng.randrange(len(mutated))
-        mutated[victim] = perturb_feature(mutated[victim], rng)
-        spec = tuple(feature.spec() for feature in mutated)
-        if spec in seen:
-            continue
-        seen.add(spec)
-        candidates.append(tuple(mutated))
-
-    def evaluate() -> None:
-        evaluator._cache.clear()
-        evaluator.evaluate_many(candidates)
-
-    # Both arms pin the kernel off: this section isolates the batched
-    # bytecode engine against K sequential replays, the comparison the
-    # REPRO_STAGE2_BATCH knob picks between.
-    with _env("REPRO_STAGE2_KERNEL", "off"):
-        with _env("REPRO_STAGE2_BATCH", "off"):
-            sequential_s = _best_of(repeats, evaluate)
-        with _env("REPRO_STAGE2_BATCH", "on"):
-            batched_s = _best_of(repeats, evaluate)
-    return {
-        "k": len(candidates),
-        "segments": len(segments),
-        "accesses": accesses,
-        "sequential_s": round(sequential_s, 6),
-        "batched_s": round(batched_s, 6),
-        "speedup": (round(sequential_s / batched_s, 3)
-                    if batched_s > 0 else float("inf")),
-    }
-
-
-# -- columnar Stage-2 kernel (bytecode replay vs the C kernel) -------------
+# -- columnar Stage-2 kernel (reference replay vs the C kernel) ------------
 
 
 def bench_kernel(scale: ReproScale, repeats: int,
                  k: int = 8) -> Dict[str, Any]:
-    """Time the Stage-2 replay itself, Python replay vs the C kernel.
+    """Time the Stage-2 replay itself, reference replay vs the C kernel.
 
-    Same workload shape as :func:`bench_search_batch` (three
-    benchmarks, a hill-climb-neighborhood candidate batch), but timing
+    Mirrors the ``search`` command's workload (three benchmarks at a
+    quarter of the scale's accesses) and candidate shape (a Table 1a
+    base plus distinct single-feature perturbations — exactly a
+    hill-climb neighborhood), timing
     :meth:`~repro.sim.batch.BatchLLCSimulator.run` directly — the
     acceptance gate is on the Stage-2 replay, and the evaluator's
-    fixed Stage-3/aggregation cost would dilute it.  Fresh policies
+    fixed Stage-3/aggregation cost would dilute it.  With the kernel
+    ``off`` that call replays each candidate through
+    :class:`~repro.sim.llc.LLCSimulator` (``python_s``).  Fresh policies
     are built inside the timed region (identical across arms, so the
     ratio is unaffected).  The C arm is timed only when the kernel
     builds on this host, after one untimed replay so the one-off
@@ -400,11 +314,11 @@ def bench_timing(scale: ReproScale, benchmark: str,
     from repro.cpu.timing import TimingModel
     from repro.policies import policy_factory
     from repro.sim.llc import LLCSimulator
+    from repro.sim import single
     from repro.sim.single import (
         build_stage3_events,
         demand_load_arrays,
         demand_load_events,
-        stage3_vector_enabled,
     )
 
     hierarchy = scale.hierarchy
@@ -438,19 +352,18 @@ def bench_timing(scale: ReproScale, benchmark: str,
     ))
 
     vector_s = loads = None
-    with _env("REPRO_STAGE3_VECTOR", "on"):
-        if stage3_vector_enabled():
-            events = build_stage3_events(trace, upper, timing,
-                                         start_mem=warm_mem)
-            loads = len(events.instr)
+    if single._np is not None:
+        events = build_stage3_events(trace, upper, timing,
+                                     start_mem=warm_mem)
+        loads = len(events.instr)
 
-            def vector() -> None:
-                instr, latencies, depends = demand_load_arrays(
-                    events, outcomes, timing)
-                model.simulate_packed(instr, latencies, depends,
-                                      measured_instr)
+        def vector() -> None:
+            instr, latencies, depends = demand_load_arrays(
+                events, outcomes, timing)
+            model.simulate_packed(instr, latencies, depends,
+                                  measured_instr)
 
-            vector_s = round(_best_of(repeats, vector), 6)
+        vector_s = round(_best_of(repeats, vector), 6)
     return {
         "benchmark": benchmark,
         "loads": loads,
@@ -858,7 +771,6 @@ def build_report(scale_name: str = "", benchmark: str = "soplex",
         "repeats": repeats,
         "backends": {"c": {"available": error is None, "error": error}},
         "hotpath": bench_hotpath(scale, benchmark, policies, repeats),
-        "search-batch": bench_search_batch(scale, repeats),
         "kernel": bench_kernel(scale, repeats),
         "timing": bench_timing(scale, benchmark, repeats),
         "telemetry": bench_telemetry(scale, benchmark, repeats),
@@ -886,15 +798,9 @@ def check_report(report: Dict[str, Any],
                  tolerance: float = 1.0) -> List[str]:
     """Regression gate on the report's strength reductions.
 
-    * Fused Stage 2 must not be slower than legacy.  Only ``mpppb*``
-      policies are gated — they are the only consumers of the feature
-      pipeline, so for other policies fused-vs-legacy is pure timer
-      noise.
-    * Batched K-candidate evaluation must not be slower than K
-      per-candidate replays.
-    * The C kernel must beat the batched bytecode replay by at least
-      :data:`KERNEL_MIN_SPEEDUP` on the Stage-2 replay (skipped when
-      the kernel cannot be built on the host).
+    * The C kernel must beat the per-candidate reference replay by at
+      least :data:`KERNEL_MIN_SPEEDUP` on the Stage-2 replay (skipped
+      when the kernel cannot be built on the host).
     * Telemetry must respect both budgets: the disabled path under
       :data:`TELEMETRY_DISABLED_BUDGET`, the fully enabled replay
       under :data:`TELEMETRY_ENABLED_BUDGET` overhead.
@@ -911,32 +817,14 @@ def check_report(report: Dict[str, Any],
     Returns a list of failure messages (empty = pass).
     """
     failures: List[str] = []
-    for policy, timings in report["hotpath"]["stage2"].items():
-        if not policy.startswith("mpppb"):
-            continue
-        fused, legacy = timings["fused"], timings["legacy"]
-        if fused > legacy * tolerance:
-            failures.append(
-                f"{policy}: fused stage-2 {fused:.4f}s slower than "
-                f"legacy {legacy:.4f}s (tolerance x{tolerance})"
-            )
-    batch = report.get("search-batch")
-    if batch is not None:
-        sequential, batched = batch["sequential_s"], batch["batched_s"]
-        if batched > sequential * tolerance:
-            failures.append(
-                f"search-batch: batched {batch['k']}-candidate evaluation "
-                f"{batched:.4f}s slower than sequential {sequential:.4f}s "
-                f"(tolerance x{tolerance})"
-            )
     kernel = report.get("kernel")
     if kernel is not None and kernel.get("c_s"):
         python_s, c_s = kernel["python_s"], kernel["c_s"]
         if c_s * KERNEL_MIN_SPEEDUP > python_s * tolerance:
             failures.append(
                 f"kernel: C Stage-2 replay {c_s:.4f}s is only "
-                f"{python_s / c_s:.2f}x over the batched Python "
-                f"path {python_s:.4f}s (required "
+                f"{python_s / c_s:.2f}x over the reference "
+                f"replay {python_s:.4f}s (required "
                 f"{KERNEL_MIN_SPEEDUP:.1f}x, tolerance x{tolerance})"
             )
     telemetry = report.get("telemetry")
@@ -1002,22 +890,11 @@ def format_report(report: Dict[str, Any]) -> str:
         f"  trace gen {hot['trace_gen_s']:8.4f}s   "
         f"stage 1 {hot['stage1_s']:8.4f}s",
     ]
-    for policy, timings in hot["stage2"].items():
-        fused, legacy = timings["fused"], timings["legacy"]
-        ratio = legacy / fused if fused > 0 else float("inf")
-        lines.append(f"  stage 2 {policy:12s} fused {fused:8.4f}s   "
-                     f"legacy {legacy:8.4f}s   ({ratio:.2f}x)")
-    batch = report.get("search-batch")
-    if batch is not None:
-        lines.append(
-            f"  search  {batch['k']} candidates x {batch['segments']} "
-            f"segments: sequential {batch['sequential_s']:.4f}s  "
-            f"batched {batch['batched_s']:.4f}s  "
-            f"({batch['speedup']:.2f}x)"
-        )
+    for policy, seconds in hot["stage2"].items():
+        lines.append(f"  stage 2 {policy:12s} {seconds:8.4f}s")
     kernel = report.get("kernel")
     if kernel is not None:
-        parts = [f"python {kernel['python_s']:.4f}s"]
+        parts = [f"reference {kernel['python_s']:.4f}s"]
         if kernel.get("c_s") is not None:
             parts.append(f"c {kernel['c_s']:.4f}s "
                          f"({kernel['c_speedup']:.2f}x)")

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.features import Feature
 from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
-from repro.sim.batch import stage2_batch_enabled
 from repro.sim.hierarchy import HierarchyConfig
 from repro.sim.single import SingleThreadRunner
 from repro.traces.trace import Segment
@@ -62,8 +61,8 @@ class FeatureSetEvaluator:
         )
         self.executor = executor
         self.spec = spec
-        # Candidates per shared-context replay; None = whole generation
-        # in one batch.  Ignored when REPRO_STAGE2_BATCH=off.
+        # Candidates per batched Stage-2 replay; None = whole
+        # generation in one batch.
         self.batch_size = batch_size
         self.evaluations = 0
         self._cache: Dict[tuple, float] = {}
@@ -116,10 +115,10 @@ class FeatureSetEvaluator:
     def _evaluate_batch_local(
         self, pending: List[Tuple[Feature, ...]]
     ) -> None:
-        """Fill the memo for ``pending`` via shared-context replays.
+        """Fill the memo for ``pending`` via batched Stage-2 replays.
 
         Chunks of ``batch_size`` candidates (the whole list when None)
-        share one Stage-2 stream decode per segment; per-candidate MPKI
+        share one Stage-2 stream lowering per segment; per-candidate MPKI
         accumulates in the same segment order as
         :meth:`_evaluate_local`, so values are bit-identical.
         """
@@ -145,9 +144,9 @@ class FeatureSetEvaluator:
     ) -> List[float]:
         """In-process evaluation of a candidate batch; input order.
 
-        The shared-context engine handles unique uncached candidates
-        (when enabled and there is more than one); results land in the
-        in-memory memo exactly like :meth:`evaluate`'s.
+        The batch engine handles unique uncached candidates when there
+        is more than one; results land in the in-memory memo exactly
+        like :meth:`evaluate`'s.
         """
         keys = [tuple(features) for features in feature_sets]
         pending: List[Tuple[Feature, ...]] = []
@@ -157,7 +156,7 @@ class FeatureSetEvaluator:
                 seen.add(key)
                 pending.append(key)
         if pending:
-            if stage2_batch_enabled() and len(pending) > 1:
+            if len(pending) > 1:
                 self._evaluate_batch_local(pending)
             else:
                 for key in pending:
@@ -186,9 +185,8 @@ class FeatureSetEvaluator:
         uncached candidates are fanned across worker processes and the
         on-disk result cache; otherwise they evaluate in process.
         Either way, candidates that share a generation are grouped into
-        shared-context Stage-2 replays (:mod:`repro.sim.batch`) of at
-        most ``batch_size`` candidates unless ``REPRO_STAGE2_BATCH=off``
-        pins the sequential per-candidate path.
+        batched Stage-2 replays (:mod:`repro.sim.batch`) of at most
+        ``batch_size`` candidates.
         """
         self._generation += 1
         with obs.span(f"search-gen-{self._generation}"):
@@ -219,11 +217,8 @@ class FeatureSetEvaluator:
                 )
                 for features in unique_pending
             ]
-            if stage2_batch_enabled():
-                values = self.executor.run_search_batches(
-                    cells, batch_size=self.batch_size, label="search")
-            else:
-                values = self.executor.run(cells, label="search")
+            values = self.executor.run_search_batches(
+                cells, batch_size=self.batch_size, label="search")
             unresolved = 0
             for features, value in zip(unique_pending, values):
                 if value is None:

@@ -1,12 +1,12 @@
 """Columnar Stage-2 replay kernel.
 
-This package is the third strength reduction of the Stage-2 hot path
-(after the fused feature pipeline and the shared-context batch
-engine): it lowers a segment's Stage-1 LLC stream into numpy columns
-once (:mod:`~repro.sim.kernel.columns`) and replays every MPPPB
-candidate over those columns through one C function (``replay.c``),
-built with the system C compiler on the first kernel replay and
-called through :mod:`ctypes` (:mod:`~repro.sim.kernel.native`).
+This package is the one fast path of the MPPPB Stage-2 replay: it
+lowers a segment's Stage-1 LLC stream into numpy columns once
+(:mod:`~repro.sim.kernel.columns`) and replays every MPPPB candidate
+over those columns through one C function (``replay.c``), built with
+the system C compiler on the first kernel replay and called through
+:mod:`ctypes` (:mod:`~repro.sim.kernel.native`).
+:class:`~repro.sim.llc.LLCSimulator` is the reference it must match.
 
 The same column front end (stream decode, PC-history gathers, the
 vectorized splitmix64) also lowers the per-access hashing of the
@@ -67,9 +67,9 @@ def stage2_kernel_backend() -> str:
 
     Unset (or ``auto``/``on``) means the C kernel, which is compiled
     here on first use.  Without numpy or a working C compiler it
-    resolves to ``off`` with a one-line notice: the Python replay
-    produces bit-identical results, so the choice is purely about
-    speed.
+    resolves to ``off`` with a one-line notice: the reference replay
+    (:class:`~repro.sim.llc.LLCSimulator`) produces bit-identical
+    results, so the choice is purely about speed.
     """
     raw = os.environ.get("REPRO_STAGE2_KERNEL")
     value = (raw or "auto").strip().lower()
@@ -83,7 +83,7 @@ def stage2_kernel_backend() -> str:
     if why is not None:
         _notice("no-c-kernel",
                 f"Stage-2 C kernel unavailable ({why}); falling back to "
-                "the Python replay")
+                "the reference replay")
         return "off"
     return "c"
 
@@ -109,8 +109,9 @@ def replay_batch(sim, stream: Sequence, pc_trace: Sequence[int],
 
     Returns one :class:`~repro.sim.llc.LLCResult` per candidate, or
     ``None`` when a precondition fails — the caller
-    (:meth:`~repro.sim.batch.BatchLLCSimulator.run`) then falls back
-    to the per-access Python replay.  Preconditions are checked for
+    (:meth:`~repro.sim.batch.BatchLLCSimulator.run`) then replays each
+    candidate through the reference
+    :class:`~repro.sim.llc.LLCSimulator`.  Preconditions are checked for
     every candidate before any candidate state is touched, so a
     ``None`` never leaves a half-replayed batch behind.
     """

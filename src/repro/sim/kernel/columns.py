@@ -1,11 +1,8 @@
 """Columnar lowering of a Stage-1 LLC stream (the kernel's phase 1).
 
-The batched replay engine (:mod:`repro.sim.batch`) already splits a
-Stage-2 replay into a candidate-invariant *shared pass* and K
-per-candidate replays, but its shared pass still executes Python
-bytecode per access: one ``array('q')`` append per column plus one
-compiled static-slot call.  This module strength-reduces the shared
-pass itself to numpy array expressions over the whole stream:
+The batch engine (:mod:`repro.sim.batch`) describes the
+candidate-invariant part of a Stage-2 replay as a slot layout.  This
+module computes it once per stream as numpy array expressions:
 
 * **Stream columns** — block, set index, 16-bit partial tag, sampler
   set, prefetch flag — become vectorized mask/shift/mod expressions.
@@ -15,9 +12,11 @@ pass itself to numpy array expressions over the whole stream:
   hash (:func:`repro.util.hashing.mix64` replicated in wrapping
   ``uint64`` arithmetic) and the PC-history gathers.
 
-Every column is bit-identical to what
-:meth:`~repro.sim.batch.BatchLLCSimulator._shared_pass` produces with
-scalar Python integers; ``tests/test_kernel.py`` pins the round trip.
+Every column is bit-identical to the scalar reference:
+:func:`repro.predictors.base.partial_tag` and the sampler's
+``sampler_index`` for the stream columns, and each feature's
+:meth:`~repro.core.features.Feature.compile` closure for its slot;
+``tests/test_kernel.py`` pins the round trip.
 All intermediate arithmetic runs in ``uint64`` (64-bit address/PC
 slices and the hash multiplies overflow ``int64``) and results are
 narrowed to ``int64`` at the end, the type the C replay kernel reads.

@@ -14,8 +14,9 @@ compiler on first use and calls it through :mod:`ctypes`:
 * **Preflight.**  C does not bounds-check, so before any candidate
   state is touched :func:`replay_all` declines (returns ``None``)
   unless every index the kernel will read lies inside its array and
-  every threshold is an ``int``.  The batch engine then replays in
-  Python with identical results.
+  every threshold is an ``int``.  The batch engine then replays each
+  candidate through the reference :class:`~repro.sim.llc.LLCSimulator`
+  with identical results.
 * **Marshaling.**  State arrays are allocated once per batch, sized for
   the largest candidate, and refilled per candidate from the Python
   objects; afterwards the state is written back with one ``.tolist()``
@@ -263,7 +264,7 @@ def replay_all(sim, columns, warmup: int) -> Optional[List[LLCResult]]:
     Returns one :class:`~repro.sim.llc.LLCResult` per candidate, or
     ``None`` when the library is unavailable or any candidate fails
     the preflight — checked for all candidates before any state is
-    touched, so the Python fallback never double-runs a candidate.
+    touched, so the reference fallback never double-runs a candidate.
     """
     kernel, _ = load()
     ranges = _ranges(columns, sim.num_sets)

@@ -14,7 +14,6 @@ relative to LRU and summarized by geometric mean.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import asdict, dataclass
 from typing import (
@@ -28,7 +27,8 @@ from typing import (
     Tuple,
 )
 
-try:  # numpy backs the vectorized Stage-3 event builder; optional.
+try:  # numpy backs the vectorized Stage-3 event builder; without it
+    # Stage 3 runs the scalar demand_load_events generator.
     import numpy as _np
 except ImportError:  # pragma: no cover - environment without numpy
     _np = None
@@ -134,6 +134,9 @@ def demand_load_events(
     non-blocking (no timing event); prefetch LLC accesses are not
     instructions and never appear here — their effect is already
     folded into the service levels.
+
+    This generator is the reference for :func:`build_stage3_events` /
+    :func:`demand_load_arrays`, and the Stage-3 path without numpy.
     """
     l1, l2 = timing.l1_latency, timing.l2_latency
     llc_hit, llc_miss = timing.llc_latency, timing.llc_miss_latency
@@ -153,20 +156,6 @@ def demand_load_events(
         else:
             latency = llc_hit if outcomes[level] else llc_miss
         yield instr_indices[mem_index] - base_instr, latency, deps[mem_index]
-
-
-def stage3_vector_enabled() -> bool:
-    """Vectorized Stage-3 selector: ``REPRO_STAGE3_VECTOR`` (default on).
-
-    Requires numpy; the scalar :func:`demand_load_events` generator is
-    the fallback and the two paths produce bit-identical IPC (integer
-    latencies and instruction counts divide identically in IEEE-754
-    float64 either way).
-    """
-    if _np is None:
-        return False
-    return os.environ.get("REPRO_STAGE3_VECTOR", "on").lower() not in (
-        "off", "0", "false", "no", "none")
 
 
 @dataclass
@@ -256,9 +245,9 @@ def replay_segment(
 
     Instrumented runs (telemetry enabled) also stay on the sequential
     simulator: it observes per-access detail — e.g. the MPPPB
-    confidence histogram — that the inlined replay loops deliberately
-    do not record.  Results are bit-identical either way; only the
-    emitted telemetry is richer.
+    confidence histogram — that the C kernel does not record.
+    Results are bit-identical either way; only the emitted telemetry
+    is richer.
     """
     from repro.core.mpppb import MPPPBPolicy
 
@@ -426,7 +415,7 @@ class SingleThreadRunner:
         )
         model = TimingModel(self.timing)
         with obs.span("stage3-timing"):
-            if stage3_vector_enabled():
+            if _np is not None:
                 instr, latencies, depends = demand_load_arrays(
                     self._stage3_events(segment, upper, warm_mem),
                     llc.outcomes, self.timing,

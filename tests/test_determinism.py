@@ -35,7 +35,7 @@ SINGLE_HASH = "4f06a70f16f97bdb76676eef33c124e3b8115326498dff212deb7fd617cd5e75"
 MIX_HASH = "bec8c2cfa975ef0b8cfff1a87c8ff4cb3e5bd2ef307d006b6c0d7e34e3c9426b"
 # Feature-search pin: random search + hill climb on a fixed seed must
 # produce these candidates and MPKIs whether Stage 2 replays candidates
-# one at a time or through the shared-context batch engine.
+# one at a time or through the batch engine.
 SEARCH_HASH = "25451957fce2529e70cc7ebc80843c0475e3e04242d942b9d72584574e9534aa"
 # Baseline-policy pins, taken with the scalar per-access hashing of
 # Perceptron and Hawkeye before their inputs were lowered to numpy
@@ -46,8 +46,19 @@ BASELINE_HASH = "ace5323779d450722c32f9a7efce6f30ab4b2e7418337bca07038a5d8753957
 # streams with per-thread PC-history offsets).
 BASELINE_MIX_POLICIES = ("perceptron", "hawkeye")
 BASELINE_MIX_HASH = "4686c853d78f1453913b92cd84aa97442263e3c3c829fb960049a087d77d7561"
+# One single-cell pin per remaining policy (both BENCHMARKS), taken
+# before the batch engine's bytecode replay was deleted.  mpppb-1b and
+# mpppb-mp reach the C kernel through replay_segment.
+POLICY_PINS = {
+    "mpppb-1b": "e12c5345c9ec3f1068a1f29f785e04b384caba56cf902568cbf108c466704cea",
+    "mpppb-mp": "f40111ac1ce7903c12ec70a1d414620ec57f27995d2ddde639aa939fda787c12",
+    "mdpp": "f44e99eaf22bf3e157103e1b923059f1ae4a8462212cd49c10fc471dbb29880b",
+    "plru": "21f8767aca2aa1f6743afac27223acb4ebef6cec4c483ed48f9a5dab4ea44ad6",
+    "random": "816ec923ea2726778ac72c4dc7c270fbb0fb18ff0fde6236973b3897b80f887a",
+    "brrip": "c423ba7a83a192006227f4e815bd94b4492e172c370508ba4d19ce5299ea56fd",
+}
 
-# Stage-2 kernel modes: "off" is the per-access Python replay, and
+# Stage-2 kernel modes: "off" is the per-access reference replay, and
 # "default" leaves REPRO_STAGE2_KERNEL unset (the C kernel).
 _KERNEL_BACKENDS = ["off", "default"]
 
@@ -146,14 +157,30 @@ class TestPinnedHashes:
         assert engine.artifact_root is None
         _assert_pinned(engine)
 
-    @pytest.mark.parametrize("pipeline", ["fused", "legacy"])
+    @pytest.mark.parametrize("pipeline", ["fused", "reference"])
     def test_both_feature_pipelines(self, pipeline, monkeypatch):
-        monkeypatch.setenv("REPRO_FEATURE_PIPELINE", pipeline)
+        """MPPPB indices from the fused compiler and from one
+        ``Feature.compile`` closure per feature pin alike.  The kernel
+        is off so the reference replay evaluates them per access."""
+        from repro.core import predictor as predictor_mod
+
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "off")
+        if pipeline == "reference":
+            def per_feature(features):
+                fns = [feature.compile() for feature in features]
+                return lambda ctx: [fn(ctx) for fn in fns]
+
+            monkeypatch.setattr(predictor_mod, "compile_fused", per_feature)
         _assert_pinned(ParallelRunner(jobs=1, store=None, verbose=False))
 
     @pytest.mark.parametrize("vector", ["on", "off"])
     def test_both_stage3_paths(self, vector, monkeypatch):
-        monkeypatch.setenv("REPRO_STAGE3_VECTOR", vector)
+        """The numpy Stage-3 path and the scalar generator (the path
+        without numpy) pin alike."""
+        from repro.sim import single
+
+        if vector == "off":
+            monkeypatch.setattr(single, "_np", None)
         _assert_pinned(ParallelRunner(jobs=1, store=None, verbose=False))
 
     @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
@@ -202,6 +229,20 @@ class TestBaselinePins:
         _set_kernel(monkeypatch, backend)
         _assert_baseline_pinned(ParallelRunner(jobs=1, store=None,
                                                verbose=False))
+
+
+class TestPolicyPins:
+    """Every policy the pins above do not cover, one cell pair each,
+    with the Stage-2 kernel on and ``off``."""
+
+    @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
+    @pytest.mark.parametrize("policy", sorted(POLICY_PINS))
+    def test_single_cell_pin(self, policy, backend, monkeypatch):
+        _set_kernel(monkeypatch, backend)
+        engine = ParallelRunner(jobs=1, store=None, verbose=False)
+        results = engine.run(_single_cells((policy,)), label="pin/policy")
+        assert stable_hash({"results": [r.to_dict() for r in results]}) \
+            == POLICY_PINS[policy]
 
 
 class TestFaultedPins:
@@ -594,7 +635,15 @@ class TestIngestPins:
 class TestSearchPinned:
     @pytest.mark.parametrize("mode", ["on", "off"])
     def test_stage2_batch_modes(self, mode, monkeypatch):
-        monkeypatch.setenv("REPRO_STAGE2_BATCH", mode)
+        """Batched generations (``on``) and one candidate at a time
+        (``off``) pin alike."""
+        from repro.search.evaluator import FeatureSetEvaluator
+
+        if mode == "off":
+            monkeypatch.setattr(
+                FeatureSetEvaluator, "evaluate_many",
+                lambda self, feature_sets: [self.evaluate(features)
+                                            for features in feature_sets])
         assert _search_hash() == SEARCH_HASH
 
     @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)

@@ -3,9 +3,11 @@
 Three contracts, each pinned independently:
 
 * **Lowering** — :func:`repro.sim.kernel.columns.lower_stream` must
-  reproduce the batch engine's scalar shared pass column for column
-  (blocks, set indices, partial tags, sampler sets, prefetch flags,
-  and every deduplicated static feature slot).
+  reproduce the scalar reference column for column: blocks, set
+  indices, partial tags and sampler sets as ``partial_tag`` and the
+  sampler's ``sampler_index`` compute them, prefetch flags, and every
+  static feature's slot as its :meth:`Feature.compile` closure
+  evaluates it on the context :class:`LLCSimulator` builds.
 * **Replay** — the C kernel must finish bit-identical to
   :class:`~repro.sim.llc.LLCSimulator`: outcomes, stats, policy
   counters, sampler entries, and perceptron weights, also when a
@@ -13,11 +15,11 @@ Three contracts, each pinned independently:
   lockstep drive over adversarial random streams backs the fixed
   workloads.
 * **Selection and fallbacks** — ``REPRO_STAGE2_KERNEL`` resolves per
-  the knob table; a missing compiler degrades to the Python replay
+  the knob table; a missing compiler degrades to the reference replay
   with a one-line stderr notice, never an exception; inputs the C code
   cannot index safely, and unsupported cache preconditions, make the
-  kernel decline so the batch engine falls back to the Python replay
-  with identical results.
+  kernel decline so the batch engine replays each candidate through
+  :class:`LLCSimulator` with identical results and final state.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.access import AccessContext
 from repro.config import TINY
 from repro.core.features import parse_feature_set, random_feature_set
 from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
@@ -34,6 +37,7 @@ from repro.core.presets import TABLE_1A_SPECS, TABLE_1B_SPECS
 from repro.sim import kernel as kernel_mod
 from repro.sim.batch import BatchLLCSimulator
 from repro.sim.hierarchy import UpperLevels
+from repro.predictors.base import partial_tag
 from repro.sim.llc import LLCAccess, LLCSimulator
 from repro.traces.workloads import build_segments
 
@@ -114,22 +118,44 @@ def _assert_identical(result, policy, seq_result, seq_policy):
 # -- lowering round trip ---------------------------------------------------
 
 
-def test_columns_match_shared_pass(stage1):
-    """Vectorized lowering == the batch engine's scalar shared pass."""
-    stream, pcs = stage1
-    sim = _batch(_configs(k=4))
-    blocks, set_idxs, tags, samp_idxs, prefetch, slot_values = (
-        sim._shared_pass(stream, pcs)
-    )
+def _assert_columns_match_reference(sim, stream, pcs):
+    """Every column of ``lower_stream`` equals its scalar reference."""
     cols = _lower(sim, stream, pcs)
+    sampler = sim.policies[0].sampler
+    set_idxs = [access.block & (NUM_SETS - 1) for access in stream]
     assert cols.n == len(stream)
-    assert cols.blocks.tolist() == list(blocks)
-    assert cols.set_idxs.tolist() == list(set_idxs)
-    assert cols.tags.tolist() == list(tags)
-    assert cols.samp_idxs.tolist() == list(samp_idxs)
-    assert cols.prefetch.tolist() == list(prefetch)
-    per_access = list(zip(*(col.tolist() for col in cols.cols)))
-    assert per_access == slot_values
+    assert cols.blocks.tolist() == [access.block for access in stream]
+    assert cols.set_idxs.tolist() == set_idxs
+    assert cols.tags.tolist() == [partial_tag(access.block, sampler.tag_bits)
+                                  for access in stream]
+    assert cols.samp_idxs.tolist() == [sampler.mapper.sampler_index(s)
+                                       for s in set_idxs]
+    assert cols.prefetch.tolist() == [int(access.is_prefetch)
+                                      for access in stream]
+    # The context fields LLCSimulator.run sets that static features read.
+    contexts = [
+        AccessContext(pc=access.pc, address=(access.block << 6) | access.offset,
+                      block=access.block, offset=access.offset,
+                      is_prefetch=access.is_prefetch,
+                      history_index=access.mem_index, pc_history=pcs)
+        for access in stream
+    ]
+    checked = 0
+    for policy, entries in zip(sim.policies, sim._entry_sets):
+        for feature, entry in zip(policy.config.features, entries):
+            if entry[0] != "slot":
+                continue
+            index = feature.compile()
+            assert cols.cols[entry[1]].tolist() == \
+                [index(ctx) for ctx in contexts], feature.spec()
+            checked += 1
+    assert checked
+
+
+def test_columns_match_reference_features(stage1):
+    """Vectorized lowering == scalar tags, sampler sets and features."""
+    stream, pcs = stage1
+    _assert_columns_match_reference(_batch(_configs(k=4)), stream, pcs)
 
 
 def test_columns_empty_history_and_stream():
@@ -137,12 +163,12 @@ def test_columns_empty_history_and_stream():
     cols = _lower(sim, [], [])
     assert cols.n == 0
     assert cols.blocks.tolist() == []
+    assert all(col.tolist() == [] for col in cols.cols)
     access = LLCAccess(pc=0x4000, block=17, offset=8, is_write=False,
                        is_prefetch=False, mem_index=0, instr_index=0)
-    blocks, *_rest, slot_values = sim._shared_pass([access], [])
-    cols = _lower(sim, [access], [])
-    assert cols.blocks.tolist() == list(blocks)
-    assert list(zip(*(c.tolist() for c in cols.cols))) == slot_values
+    prefetch = LLCAccess(pc=0x4000, block=18, offset=0, is_write=False,
+                         is_prefetch=True, mem_index=0, instr_index=0)
+    _assert_columns_match_reference(sim, [access, prefetch], [])
 
 
 def test_mix64_array_matches_scalar():
@@ -287,7 +313,7 @@ class TestKnob:
         monkeypatch.setattr(kernel_mod, "_np", None)
         monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
         assert kernel_mod.stage2_kernel_backend() == "off"
-        assert "falling back to the Python replay" in capsys.readouterr().err
+        assert "falling back to the reference replay" in capsys.readouterr().err
         assert kernel_mod.replay_batch(None, [], [], 0) is None
 
     def test_available_backends_report(self):
@@ -307,8 +333,8 @@ class TestKnob:
 class TestFallbacks:
     def test_non_prefix_validity_declines(self, stage1):
         """Oddly-shaped cache state makes the kernel decline, and the
-        batch engine's Python fallback still reproduces the sequential
-        results from that same state."""
+        batch engine's reference fallback still reproduces the
+        sequential results from that same state."""
         stream, pcs = stage1
         config = _configs(k=1)[0]
         sim = _batch([config])
@@ -328,26 +354,45 @@ class TestFallbacks:
         _assert_identical(results[0], sim.policies[0], seq_result,
                           seq_policy)
 
+    _WARMUPS = (200, 0)
+
+    def _assert_matches_reference(self, stage1, configs, sim):
+        """Two ``sim.run`` calls finish exactly as K sequential
+        LLCSimulator replays: each run on a fresh simulator (cold
+        last-miss state) that keeps the candidate's cache."""
+        stream, pcs = stage1
+        seq_policies = [MPPPBPolicy(NUM_SETS, WAYS, c) for c in configs]
+        seq_caches = [None] * len(configs)
+        for warmup in self._WARMUPS:
+            results = sim.run(stream, pc_trace=pcs, warmup=warmup)
+            for k, seq_policy in enumerate(seq_policies):
+                seq_sim = LLCSimulator(LLC_BYTES, WAYS, seq_policy)
+                if seq_caches[k] is not None:
+                    seq_sim.cache = seq_caches[k]
+                seq_caches[k] = seq_sim.cache
+                seq_result = seq_sim.run(stream, pc_trace=pcs,
+                                         warmup=warmup)
+                _assert_identical(results[k], sim.policies[k], seq_result,
+                                  seq_policy)
+                assert sim.caches[k].tags == seq_sim.cache.tags
+                assert sim.caches[k].valid == seq_sim.cache.valid
+
     def _assert_declines(self, stage1, configs, monkeypatch):
         """``sim.run`` reaches the kernel, which declines before touching
-        any state; the Python fallback matches LLCSimulator."""
-        stream, pcs = stage1
+        any state; the per-candidate fallback matches LLCSimulator."""
         returned = []
         original = native.replay_all
 
         def spy(sim, cols, warmup):
-            assert all(not row for row in sim.policies[0].sampler._sets)
+            states = [_sampler_state(p) for p in sim.policies]
             returned.append(original(sim, cols, warmup))
-            assert all(not row for row in sim.policies[0].sampler._sets)
+            assert [_sampler_state(p) for p in sim.policies] == states
             return returned[-1]
 
+        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
         monkeypatch.setattr(native, "replay_all", spy)
-        sim = _batch(configs)
-        results = sim.run(stream, pc_trace=pcs, warmup=200)
-        assert returned == [None]
-        for config, policy, result in zip(configs, sim.policies, results):
-            seq_result, seq_policy = _sequential(stream, pcs, config, 200)
-            _assert_identical(result, policy, seq_result, seq_policy)
+        self._assert_matches_reference(stage1, configs, _batch(configs))
+        assert returned == [None, None]
 
     def test_out_of_range_column_declines(self, stage1, monkeypatch):
         """A slot column index beyond its weight table: C would read out
@@ -369,6 +414,19 @@ class TestFallbacks:
         configs = _configs(k=2)
         configs[1] = dataclasses.replace(configs[1], tau_bypass=110.5)
         self._assert_declines(stage1, configs, monkeypatch)
+
+    @pytest.mark.parametrize("default_policy", ["mdpp", "srrip"])
+    def test_kernel_off_replays_reference(self, stage1, monkeypatch,
+                                          default_policy):
+        """With the kernel off the batch never calls it and replays
+        each candidate through LLCSimulator."""
+        def forbidden(*args):
+            raise AssertionError("kernel called with REPRO_STAGE2_KERNEL=off")
+
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "off")
+        monkeypatch.setattr(native, "replay_all", forbidden)
+        configs = _configs(k=3, default_policy=default_policy)
+        self._assert_matches_reference(stage1, configs, _batch(configs))
 
     def test_batch_run_uses_kernel(self, stage1, monkeypatch):
         """BatchLLCSimulator.run really routes through the kernel."""

@@ -145,3 +145,59 @@ class TestUniversalPolicyProperties:
         assert stats.hits + stats.misses == stats.accesses
         assert 0 <= stats.bypasses <= stats.misses
         assert stats.evictions <= stats.misses
+
+
+MIN_SETS, MIN_WAYS = 8, 16
+MIN_BOUNDED = ("lru", "srrip", "drrip", "plru", "random", "brrip",
+               "hawkeye", "perceptron", "sdbp", "ship", "mdpp",
+               "mpppb-1a", "mpppb-1b")
+
+
+def random_llc_stream(seed, length, footprint, prefetch_rate):
+    """An LLC stream over ``footprint`` blocks, with a hot quarter that
+    takes half the accesses so there is reuse to predict."""
+    rng = random.Random(seed)
+    hot = max(1, footprint // 4)
+    stream = []
+    for i in range(length):
+        block = (rng.randrange(hot) if rng.random() < 0.5
+                 else rng.randrange(footprint))
+        stream.append(LLCAccess(
+            pc=0x400 + 4 * (block % 16 if rng.random() < 0.8
+                            else rng.randrange(16)),
+            block=block, offset=rng.randrange(64), is_write=False,
+            is_prefetch=rng.random() < prefetch_rate, mem_index=i,
+            instr_index=i))
+    return stream
+
+
+class TestMinBoundProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32),
+           st.integers(min_value=1, max_value=600),
+           st.sampled_from([1, 2, 4]),
+           st.sampled_from([0.0, 0.2, 0.5]))
+    def test_min_total_misses_bound_every_policy(self, seed, length,
+                                                 capacities, prefetch_rate):
+        """MIN with optimal bypass never misses more than any policy.
+
+        Every policy replays through ``replay_segment`` (MPPPB on the
+        C kernel) with no warmup.  Total misses, because MIN minimizes
+        the total, not a measured suffix.
+        """
+        from repro.sim.single import replay_segment
+
+        stream = random_llc_stream(seed, length,
+                                   capacities * MIN_SETS * MIN_WAYS,
+                                   prefetch_rate)
+        pcs = [access.pc for access in stream]
+
+        def misses(name):
+            policy = make_policy(name, MIN_SETS, MIN_WAYS)
+            result = replay_segment(MIN_SETS * MIN_WAYS * 64, MIN_WAYS,
+                                    policy, 64, stream, pcs, 0)
+            return result.stats.misses
+
+        bound = misses("min")
+        for name in MIN_BOUNDED:
+            assert bound <= misses(name), name

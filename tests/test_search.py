@@ -63,16 +63,13 @@ class TestBatchedEvaluation:
         with pytest.raises(ValueError):
             self._fresh(batch_size=0)
 
-    def test_batch_on_off_identical(self, monkeypatch):
+    def test_evaluate_many_matches_evaluate(self):
         candidates = self._candidates(11, 5)
-        monkeypatch.setenv("REPRO_STAGE2_BATCH", "off")
-        sequential = self._fresh().evaluate_many(candidates)
-        monkeypatch.setenv("REPRO_STAGE2_BATCH", "on")
-        batched = self._fresh().evaluate_many(candidates)
-        assert batched == sequential
+        sequential = self._fresh()
+        expected = [sequential.evaluate(features) for features in candidates]
+        assert self._fresh().evaluate_many(candidates) == expected
 
-    def test_batch_size_limits_replay_width(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STAGE2_BATCH", raising=False)
+    def test_batch_size_limits_replay_width(self):
         evaluator = self._fresh(batch_size=2)
         widths = []
         original = evaluator.runner.run_segment_batch
@@ -88,17 +85,6 @@ class TestBatchedEvaluation:
         # 5 candidates -> two batches of 2; the leftover singleton goes
         # down the per-candidate path (no width-1 batch replays).
         assert widths and set(widths) == {2}
-
-    def test_knob_off_bypasses_batch_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STAGE2_BATCH", "off")
-        evaluator = self._fresh()
-
-        def forbidden(segment, configs):
-            raise AssertionError("batch engine used with knob off")
-
-        evaluator.runner.run_segment_batch = forbidden
-        values = evaluator.evaluate_many(self._candidates(4, 3))
-        assert len(values) == 3
 
     def test_evaluate_batch_memoizes(self):
         evaluator = self._fresh()
