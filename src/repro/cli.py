@@ -53,6 +53,7 @@ from repro.exec import (
     list_runs,
     resolve_store,
 )
+from repro.exec.manifest import RETIRED_EXEC_FLAGS, strip_flags
 from repro.report import (
     mpki_table,
     speedup_table,
@@ -115,9 +116,9 @@ def _resolve_trace(args: argparse.Namespace,
     """Merge --trace-* flags with REPRO_TRACE_* knobs into a spec.
 
     Resolution happens once, here: the content digest is computed (or
-    revalidated from its sidecar) before any cell is scheduled, so
-    workers — local, fleet, or ssh — receive a finished recipe and only
-    ever re-open the file to decode it.
+    revalidated from its sidecar) before any cell is scheduled, so pool
+    workers receive a finished recipe and only ever re-open the file to
+    decode it.
     """
     path = getattr(args, "trace_file", None) \
         or os.environ.get("REPRO_TRACE_FILE", "")
@@ -171,25 +172,6 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
                              "<cache>/runs/<run-id>.events.jsonl "
                              "(also: REPRO_TELEMETRY=1); inspect with "
                              "'repro.cli stats'")
-    parser.add_argument("--backend", default=None,
-                        choices=("local", "fleet", "ssh"),
-                        help="execution backend: in-process pool "
-                             "('local', default), long-lived worker "
-                             "subprocesses ('fleet'), or remote workers "
-                             "over ssh ('ssh'); default: $REPRO_BACKEND")
-    parser.add_argument("--workers", default=None, metavar="SPEC",
-                        help="worker spec: a count for the fleet backend "
-                             "('4'), or 'host[:slots],...' for ssh "
-                             "(default: $REPRO_WORKERS or --jobs)")
-    parser.add_argument("--shared-store", default=None, metavar="DIR",
-                        help="shared read-through result-store tier "
-                             "(default: $REPRO_SHARED_STORE; 'off' "
-                             "disables)")
-    parser.add_argument("--hedge", type=float, default=None, metavar="MULT",
-                        help="duplicate cells running MULT times longer "
-                             "than the observed median onto idle workers; "
-                             "first completion wins (default: $REPRO_HEDGE; "
-                             "off)")
 
 
 #: Engine backing the currently dispatched command, so the top-level
@@ -212,10 +194,6 @@ def _engine(args: argparse.Namespace) -> ParallelRunner:
         retries=getattr(args, "retries", None),
         cell_timeout=getattr(args, "cell_timeout", None),
         command=getattr(args, "argv", None),
-        backend=getattr(args, "backend", None),
-        workers=getattr(args, "workers", None),
-        shared_store=getattr(args, "shared_store", None) or "",
-        hedge=getattr(args, "hedge", None),
     )
     return _ACTIVE_ENGINE
 
@@ -659,41 +637,20 @@ def _override_exec_args(command: List[str],
                         args: argparse.Namespace) -> List[str]:
     """Apply ``resume`` execution overrides to a recorded argv.
 
-    Any override given to ``resume`` (``--jobs`` / ``--backend`` /
-    ``--workers`` / ``--shared-store`` / ``--hedge``) replaces the
-    recorded flag,
-    whether the original used the space or ``=`` form.  Flags not
-    overridden pass through untouched.  Exec flags never enter the
-    run id (see :data:`repro.exec.manifest.EXEC_FLAGS`), so the
-    re-driven command reopens the same manifest.
+    A ``--jobs`` given to ``resume`` replaces the recorded one, whether
+    the original used the space or ``=`` form.  Retired execution flags
+    (:data:`~repro.exec.manifest.RETIRED_EXEC_FLAGS`) are dropped, so a
+    run recorded by an older release re-drives on the local pool.  Other
+    flags pass through untouched.  Exec flags never enter the run id
+    (see :data:`repro.exec.manifest.EXEC_FLAGS`), so the re-driven
+    command reopens the same manifest.
     """
-    overrides = {}
+    dropped = RETIRED_EXEC_FLAGS
     if args.jobs is not None:
-        overrides["--jobs"] = str(args.jobs)
-    if args.backend is not None:
-        overrides["--backend"] = args.backend
-    if args.workers is not None:
-        overrides["--workers"] = args.workers
-    if args.shared_store is not None:
-        overrides["--shared-store"] = args.shared_store
-    if getattr(args, "hedge", None) is not None:
-        overrides["--hedge"] = str(args.hedge)
-    if not overrides:
-        return list(command)
-    rebuilt: List[str] = []
-    skip = False
-    for part in command:
-        if skip:
-            skip = False
-            continue
-        if part in overrides:
-            skip = True
-            continue
-        if any(part.startswith(f"{flag}=") for flag in overrides):
-            continue
-        rebuilt.append(part)
-    for flag, value in sorted(overrides.items()):
-        rebuilt.extend([flag, value])
+        dropped += ("--jobs",)
+    rebuilt = strip_flags(command, dropped)
+    if args.jobs is not None:
+        rebuilt.extend(["--jobs", str(args.jobs)])
     return rebuilt
 
 
@@ -826,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="PATH")
     perf.add_argument("--check", action="store_true",
                       help="exit 1 if any perf gate fails (kernel "
-                           "speedup, telemetry, ingest, graph, fleet)")
+                           "speedup, telemetry, ingest, graph)")
     perf.add_argument("--tolerance", type=float, default=1.0,
                       help="slack factor on every --check bound")
     _add_scale(perf)
@@ -857,15 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: $REPRO_CACHE_DIR or .repro-cache)")
     resume.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="override the recorded --jobs for this resume")
-    resume.add_argument("--backend", default=None,
-                        choices=("local", "fleet", "ssh"),
-                        help="override the recorded execution backend")
-    resume.add_argument("--workers", default=None, metavar="SPEC",
-                        help="override the recorded worker spec")
-    resume.add_argument("--shared-store", default=None, metavar="DIR",
-                        help="override the recorded shared store tier")
-    resume.add_argument("--hedge", type=float, default=None, metavar="MULT",
-                        help="override the recorded straggler-hedge multiple")
     resume.set_defaults(func=cmd_resume)
 
     stats = sub.add_parser(

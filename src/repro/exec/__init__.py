@@ -10,25 +10,14 @@ from repro.exec.cachekey import (
     stable_hash,
     task_seed,
 )
-from repro.exec.backends import (
-    BACKEND_NAMES,
-    BackendUnavailable,
-    ExecutionBackend,
-    Frame,
-    LocalPoolBackend,
-    SSHBackend,
-    WorkerFleetBackend,
-    parse_worker_spec,
-    resolve_backend_name,
-)
 from repro.exec.faults import (
     CellExecutionError,
     CellFailure,
     ConfigError,
-    RemoteCellError,
     parse_fault_spec,
 )
 from repro.exec.manifest import RunManifest, list_runs
+from repro.exec.pool import LocalPoolBackend
 from repro.exec.progress import CellOutcome, ExecReport
 from repro.exec.runner import (
     MaterializeCell,
@@ -47,9 +36,6 @@ from repro.exec.store import (
     DEFAULT_CACHE_DIR,
     CacheStats,
     ResultStore,
-    TieredResultStore,
-    make_store,
-    resolve_shared,
 )
 
 __all__ = [
@@ -57,22 +43,13 @@ __all__ = [
     "canonical_json",
     "stable_hash",
     "task_seed",
-    "BACKEND_NAMES",
-    "BackendUnavailable",
-    "ExecutionBackend",
-    "Frame",
-    "LocalPoolBackend",
-    "SSHBackend",
-    "WorkerFleetBackend",
-    "parse_worker_spec",
-    "resolve_backend_name",
     "CellExecutionError",
     "CellFailure",
     "ConfigError",
-    "RemoteCellError",
     "parse_fault_spec",
     "RunManifest",
     "list_runs",
+    "LocalPoolBackend",
     "CellOutcome",
     "ExecReport",
     "MaterializeCell",
@@ -89,7 +66,4 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "CacheStats",
     "ResultStore",
-    "TieredResultStore",
-    "make_store",
-    "resolve_shared",
 ]

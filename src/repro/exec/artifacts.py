@@ -302,12 +302,6 @@ class ArtifactStats:
     stage1_misses: int = 0
     read_bytes: int = 0
     read_us: int = 0
-    # Shared-tier reads (a TieredResultStore serving a local miss from
-    # the shared directory) are sampled separately: the cost model
-    # learns a distinct read throughput per tier.
-    shared_hits: int = 0
-    shared_read_bytes: int = 0
-    shared_read_us: int = 0
 
     def counts(self) -> Dict[str, int]:
         return {
@@ -317,9 +311,6 @@ class ArtifactStats:
             "stage1_misses": self.stage1_misses,
             "read_bytes": self.read_bytes,
             "read_us": self.read_us,
-            "shared_hits": self.shared_hits,
-            "shared_read_bytes": self.shared_read_bytes,
-            "shared_read_us": self.shared_read_us,
         }
 
 
@@ -343,26 +334,14 @@ class ArtifactCache:
         self.deny_loads: frozenset = frozenset()
 
     def _read(self, key: str) -> Optional[bytes]:
-        """Plan-aware, throughput-timed store read.
-
-        With a tiered store, reads served by the shared tier are
-        sampled into the ``shared_*`` counters instead of the local
-        ones — per-tier throughput is what lets the graph planner
-        price a remote load honestly.
-        """
+        """Plan-aware, throughput-timed store read."""
         if key in self.deny_loads:
             return None
         start = time.perf_counter()
         blob = self.store.get_bytes(key)
         if blob is not None:
-            elapsed_us = int((time.perf_counter() - start) * 1e6)
-            if getattr(self.store, "last_tier", "local") == "shared":
-                self.stats.shared_hits += 1
-                self.stats.shared_read_bytes += len(blob)
-                self.stats.shared_read_us += elapsed_us
-            else:
-                self.stats.read_bytes += len(blob)
-                self.stats.read_us += elapsed_us
+            self.stats.read_bytes += len(blob)
+            self.stats.read_us += int((time.perf_counter() - start) * 1e6)
         return blob
 
     # -- traces -----------------------------------------------------------

@@ -19,8 +19,6 @@ The fault-tolerance layer needs two things this module provides:
     spec    := clause (';' clause)*
     clause  := kind (':' option (',' option)*)?
     kind    := 'raise' | 'crash' | 'hang' | 'corrupt'
-             | 'frame-drop' | 'frame-trunc' | 'frame-delay' | 'frame-dup'
-             | 'hb-loss' | 'shared-fail'
     option  := 'every=N' | 'phase=K' | 'times=T' | 'seconds=S'
              | 'key=HEXPREFIX'
 
@@ -46,38 +44,12 @@ Kinds:
   kind-matching but undecodable payload (exercises the
   "corruption is a miss" re-execution path).
 
-Network-chaos kinds (DESIGN.md §16) simulate partitions and flaky
-infrastructure rather than cell bugs:
-
-* ``frame-drop`` — the worker silently discards the cell's result
-  frame (a partition after compute: recovery needs heartbeats or the
-  cell watchdog);
-* ``frame-trunc`` — the worker writes a truncated result frame and
-  dies (a torn write mid-stream: the parent sees ``FrameTruncated``
-  and declares the slot lost);
-* ``frame-delay`` — the worker sleeps ``seconds`` *after* running the
-  cell, before writing the result (a slow link, distinct from ``hang``
-  which stalls before compute);
-* ``frame-dup`` — the worker writes the result frame twice (a
-  retransmit; the parent must ignore the duplicate);
-* ``hb-loss`` — the worker suppresses heartbeat frames for the
-  selected cell while still computing (a one-way partition: the
-  parent's heartbeat timeout must fire even though the cell would
-  eventually finish);
-* ``shared-fail`` — shared-tier store operations raise ``OSError``
-  (a dead NFS mount: drives the circuit breaker).  Selection is
-  per *operation*, not per cell: ``times`` bounds how many shared ops
-  fail (default unlimited for this kind), ``key=`` restricts to
-  matching cache keys.
-
 Examples::
 
     REPRO_FAULT_INJECT="raise:every=5"            # ~20% of cells fail once
     REPRO_FAULT_INJECT="crash:key=3fa2"           # kill the worker on one cell
     REPRO_FAULT_INJECT="hang:key=3fa2,seconds=30" # one straggler
     REPRO_FAULT_INJECT="raise:every=7;corrupt:every=11"
-    REPRO_FAULT_INJECT="frame-drop:every=6;hb-loss:every=4"
-    REPRO_FAULT_INJECT="shared-fail"              # dead shared tier
 """
 
 from __future__ import annotations
@@ -98,12 +70,7 @@ CRASH_EXIT_CODE = 13
 #: ``decode``.
 CORRUPT_RESULT = "__repro-fault-corrupt__"
 
-FAULT_KINDS = ("raise", "crash", "hang", "corrupt",
-               "frame-drop", "frame-trunc", "frame-delay", "frame-dup",
-               "hb-loss", "shared-fail")
-
-#: Kinds that mangle the worker→parent result frame.
-FRAME_KINDS = ("frame-drop", "frame-trunc", "frame-delay", "frame-dup")
+FAULT_KINDS = ("raise", "crash", "hang", "corrupt")
 
 
 class ConfigError(ValueError):
@@ -117,26 +84,6 @@ class ConfigError(ValueError):
 
 class InjectedFault(RuntimeError):
     """Exception raised by ``raise`` (and in-process ``crash``) faults."""
-
-
-class RemoteCellError(RuntimeError):
-    """A cell raised on the far side of a process/host boundary.
-
-    Fleet and SSH workers cannot ship exception *objects* back (the
-    type may not unpickle, and a hostile/corrupt stream must never
-    drive arbitrary unpickling on the parent), so they ship structured
-    fields instead.  This wrapper carries them; :func:`make_failure`
-    unwraps it so the recorded :class:`CellFailure` names the original
-    remote exception type — a run's failure records read the same
-    whether the cell died in-process, in a pool worker, or on another
-    host.
-    """
-
-    def __init__(self, exc_type: str, message: str,
-                 remote_traceback: str = "") -> None:
-        self.exc_type = exc_type
-        self.remote_traceback = remote_traceback
-        super().__init__(message)
 
 
 class CellExecutionError(RuntimeError):
@@ -181,16 +128,8 @@ def make_failure(label: str, key: str, exc: BaseException, kind: str,
 
     Exceptions re-raised from worker processes chain the remote
     traceback via ``__cause__``; ``format_exception`` renders the full
-    chain, so the worker-side frames survive into the record.  A
-    :class:`RemoteCellError` from a fleet/SSH worker is unwrapped to
-    its carried remote type and traceback, so failure records are
-    backend-independent.
+    chain, so the worker-side frames survive into the record.
     """
-    if isinstance(exc, RemoteCellError):
-        return CellFailure(label=label, key=key, kind=kind,
-                           exc_type=exc.exc_type, message=str(exc),
-                           traceback=exc.remote_traceback,
-                           attempts=attempts, seconds=seconds)
     tb = "".join(traceback.format_exception(type(exc), exc,
                                             exc.__traceback__))
     return CellFailure(label=label, key=key, kind=kind,
@@ -242,16 +181,12 @@ def parse_fault_spec(spec: str) -> Tuple[FaultRule, ...]:
                         f"REPRO_FAULT_INJECT: malformed option {option!r} "
                         f"in {clause!r} (expected name=value)")
                 options[name.strip().lower()] = value.strip()
-        # ``times`` for shared-fail counts failing *operations*, and a
-        # dead mount fails every op — so its default is unlimited (0),
-        # where cell-scoped kinds default to a single faulted attempt.
-        default_times = 0 if kind == "shared-fail" else 1
         try:
             rule = FaultRule(
                 kind=kind,
                 every=int(options.pop("every", 1)),
                 phase=int(options.pop("phase", 0)),
-                times=int(options.pop("times", default_times)),
+                times=int(options.pop("times", 1)),
                 seconds=float(options.pop("seconds", 3600.0)),
                 key=options.pop("key", ""),
             )
@@ -280,8 +215,7 @@ class FaultPlan:
         """Worker-side hook, called just before a cell executes.
 
         May raise :class:`InjectedFault`, kill the process, or sleep.
-        Only the execution kinds act here: ``corrupt`` is parent-side,
-        and the chaos kinds have their own hooks below.
+        ``corrupt`` is parent-side and does not act here.
         """
         for rule in self.rules:
             if (rule.kind not in ("raise", "crash", "hang")
@@ -301,67 +235,8 @@ class FaultPlan:
         return any(rule.kind == "corrupt" and rule.selects(key, attempt)
                    for rule in self.rules)
 
-    def frame_action(self, key: str, attempt: int) -> Optional[FaultRule]:
-        """Worker-side hook: how to mangle this cell's result frame.
-
-        Returns the first matching ``frame-*`` rule (``rule.kind``
-        names the action, ``rule.seconds`` the delay for
-        ``frame-delay``), or ``None`` to write the frame normally.
-        """
-        for rule in self.rules:
-            if rule.kind in FRAME_KINDS and rule.selects(key, attempt):
-                return rule
-        return None
-
-    def suppresses_heartbeat(self, key: str, attempt: int) -> bool:
-        """Worker-side hook: silence heartbeats while this cell runs?"""
-        return any(rule.kind == "hb-loss" and rule.selects(key, attempt)
-                   for rule in self.rules)
-
-    def shared_fail(self, key: str = "") -> bool:
-        """Should this shared-tier store operation fail?
-
-        Unlike the cell-scoped hooks this charges a per-*operation*
-        budget: each call that answers True consumes one of the rule's
-        ``times`` (0 = unlimited).  ``key=`` restricts to matching
-        cache keys (blob ops pass their logical name).
-        """
-        for rule in self.rules:
-            if rule.kind != "shared-fail":
-                continue
-            if rule.key and not key.startswith(rule.key):
-                continue
-            spent = _SHARED_FAIL_SPENT.get(id(rule), 0)
-            if rule.times and spent >= rule.times:
-                continue
-            _SHARED_FAIL_SPENT[id(rule)] = spent + 1
-            return True
-        return False
-
 
 _PLANS: Dict[str, FaultPlan] = {}
-
-#: shared-fail operations already charged, keyed by rule identity.
-#: Plans are cached per spec string, so rule identity is stable for
-#: the lifetime of a spec; tests switching specs get fresh budgets.
-_SHARED_FAIL_SPENT: Dict[int, int] = {}
-
-
-def reset_injection_state() -> None:
-    """Forget charged shared-fail budgets (test isolation hook)."""
-    _SHARED_FAIL_SPENT.clear()
-
-
-def shared_tier_fault(key: str = "") -> None:
-    """Raise ``OSError`` when an active ``shared-fail`` rule fires.
-
-    The tiered store calls this before every shared-tier operation;
-    with no active plan (the overwhelmingly common case) it is one
-    ``os.environ`` lookup.
-    """
-    plan = active_plan()
-    if plan is not None and plan.shared_fail(key):
-        raise OSError("injected shared-tier fault (REPRO_FAULT_INJECT)")
 
 
 def active_plan() -> Optional[FaultPlan]:

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exec.cachekey import stable_hash
-from repro.exec.health import manifest_fsync
 
 #: Subdirectory of the result-store root holding run manifests.
 MANIFEST_DIR = "runs"
@@ -43,33 +42,49 @@ MANIFEST_DIR = "runs"
 #: Bump when the manifest JSON layout changes; old files are ignored.
 MANIFEST_SCHEMA = 1
 
+#: Execution flags of earlier releases that the CLI no longer accepts.
+#: Manifests recorded with them still hash to the same run id, and
+#: ``resume`` drops them from the re-driven command.
+RETIRED_EXEC_FLAGS = ("--backend", "--workers", "--shared-store", "--hedge")
+
 #: CLI flags that change *how* a run executes, never *what* it runs.
 #: They are stripped from the command before hashing the run id, so
-#: resuming with different execution settings (``resume --jobs 8
-#: --backend fleet``) reopens the same manifest and completion log.
-EXEC_FLAGS = ("--jobs", "--backend", "--workers", "--shared-store",
-              "--hedge")
+#: resuming with different execution settings (``resume --jobs 8``)
+#: reopens the same manifest and completion log.
+EXEC_FLAGS = ("--jobs",) + RETIRED_EXEC_FLAGS
 
 #: Statuses a ``.done`` log line may carry; anything else on a line is
 #: treated as corruption and skipped on replay.
 _VALID_STATUSES = ("done", "failed")
 
 
-def strip_exec_flags(command: Sequence[str]) -> List[str]:
-    """Drop execution-only flags (space and ``=`` forms) from an argv."""
+def manifest_fsync() -> bool:
+    """Whether ``.done`` appends fsync (``REPRO_MANIFEST_FSYNC``)."""
+    return (os.environ.get("REPRO_MANIFEST_FSYNC", "").strip().lower()
+            in ("1", "true", "yes", "on"))
+
+
+def strip_flags(command: Sequence[str],
+                flags: Sequence[str]) -> List[str]:
+    """Drop valued ``flags`` (space and ``=`` forms) from an argv."""
     stripped: List[str] = []
     skip = False
     for part in command:
         if skip:
             skip = False
             continue
-        if part in EXEC_FLAGS:
+        if part in flags:
             skip = True
             continue
-        if any(part.startswith(f"{flag}=") for flag in EXEC_FLAGS):
+        if any(part.startswith(f"{flag}=") for flag in flags):
             continue
         stripped.append(part)
     return stripped
+
+
+def strip_exec_flags(command: Sequence[str]) -> List[str]:
+    """Drop execution-only flags (space and ``=`` forms) from an argv."""
+    return strip_flags(command, EXEC_FLAGS)
 
 
 @dataclass
@@ -82,9 +97,9 @@ class RunManifest:
     command: List[str]                  # CLI argv; [] for library runs
     cells: Dict[str, Dict[str, str]]    # key -> {"label", "kind"}
     statuses: Dict[str, str] = field(default_factory=dict)
-    # Execution settings of the most recent invocation (backend name,
-    # worker spec, job count) — informational, never part of the run
-    # id, so a resume with different settings updates it in place.
+    # Execution settings of the most recent invocation (the job
+    # count) — informational, never part of the run id, so a resume
+    # with different settings updates it in place.
     exec_info: Dict[str, str] = field(default_factory=dict)
     # True when the ``.done`` log ended mid-line (a torn write from a
     # crash or power loss): the torn tail was skipped on replay and
@@ -116,8 +131,7 @@ class RunManifest:
         existing manifest for the same run id is reused, so resumed
         runs continue the original completion log.  Execution-only
         flags are stripped from the command before hashing, so a
-        resume with overridden ``--jobs``/``--backend``/``--workers``
-        reopens the same run; the manifest file is rewritten when the
+        resume with an overridden ``--jobs`` reopens the same run; the manifest file is rewritten when the
         recorded execution settings change (the ``.done`` log is
         untouched).
         """

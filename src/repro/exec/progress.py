@@ -84,26 +84,6 @@ class ExecReport:
     graph_shared: int = 0
     graph_denied: int = 0
     graph_prelude: int = 0
-    # Distributed-mesh accounting: which execution backend drove the
-    # batch, and shared-tier store traffic (read-through hits served
-    # by the shared directory — result lookups in the parent plus
-    # artifact reads inside workers — and write-backs pushed up to
-    # it).  Zero/"local" for plain single-host runs.
-    backend: str = "local"
-    store_shared_hits: int = 0
-    store_shared_fills: int = 0
-    # Health-layer accounting (DESIGN.md §16): ``hedges`` duplicate
-    # submissions launched against stragglers and ``hedge_wins`` the
-    # races the duplicate won; ``hb_lost`` workers declared lost by
-    # the heartbeat timeout (a subset of the requeue/rebuild traffic
-    # above); ``store_breaker_trips`` shared-tier circuit-breaker
-    # openings during this batch and ``store_breaker_open`` whether
-    # the run *ended* with the shared tier degraded to local-only.
-    hedges: int = 0
-    hedge_wins: int = 0
-    hb_lost: int = 0
-    store_breaker_trips: int = 0
-    store_breaker_open: bool = False
 
     @property
     def cells(self) -> int:
@@ -170,16 +150,6 @@ class ExecReport:
             f"wall={self.wall_seconds:.2f}s  work={self.cell_seconds:.2f}s  "
             f"util={self.utilization:.0%}"
         )
-        if self.backend != "local":
-            line += f"  backend={self.backend}"
-        if (self.store_shared_hits or self.store_shared_fills
-                or self.store_breaker_trips or self.store_breaker_open):
-            line += (f"  shared: hits={self.store_shared_hits} "
-                     f"fills={self.store_shared_fills}")
-            if self.store_breaker_open:
-                line += " breaker=open"
-            elif self.store_breaker_trips:
-                line += f" breaker-trips={self.store_breaker_trips}"
         if self.artifact_lookups:
             line += (
                 f"  artifacts: trace {self.trace_hits}/"
@@ -206,9 +176,6 @@ class ExecReport:
                 f"timeouts={self.timeouts} requeued={self.requeued} "
                 f"rebuilds={self.pool_rebuilds}"
             )
-        if self.hedges or self.hb_lost:
-            line += (f"  health: hedged={self.hedges} "
-                     f"wins={self.hedge_wins} hb-lost={self.hb_lost}")
         if self.pending:
             line += f"  pending={self.pending}"
         return line

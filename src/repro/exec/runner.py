@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import statistics
 import sys
 import time
 from collections import deque
@@ -67,18 +66,6 @@ from repro.exec.cachekey import (
     timing_payload,
 )
 from repro.exec.artifacts import ArtifactCache, ingest_scope, scope_payload
-from repro.exec.backends import (
-    FRAME_LOST,
-    FRAME_OK,
-    BackendUnavailable,
-    ExecutionBackend,
-    create_backend,
-    resolve_backend_name,
-    resolve_slots,
-    resolve_workers_spec,
-)
-from repro.exec.backends.fleet import HEARTBEAT_LOST
-from repro.exec.health import resolve_hedge
 from repro.exec.faults import (
     CellExecutionError,
     CellFailure,
@@ -88,6 +75,12 @@ from repro.exec.faults import (
     make_failure,
 )
 from repro.exec.manifest import RunManifest
+from repro.exec.pool import (
+    FRAME_LOST,
+    FRAME_OK,
+    BackendUnavailable,
+    LocalPoolBackend,
+)
 from repro.exec.progress import CellOutcome, ExecReport
 from repro import obs
 from repro.obs.events import (
@@ -101,8 +94,6 @@ from repro.exec.store import (
     DEFAULT_CACHE_DIR,
     DISABLED_SENTINELS,
     ResultStore,
-    make_store,
-    resolve_shared,
 )
 from repro.graph import CostModel, graph_enabled, plan_cells
 from repro.policies import policy_factory
@@ -344,29 +335,23 @@ class SuiteSpec:
 
 _SEGMENTS: Dict[TraceSpec, List[Segment]] = {}
 _RUNNERS: Dict[str, Any] = {}
-_ARTIFACTS: Dict[Tuple[str, Optional[str]], ArtifactCache] = {}
+_ARTIFACTS: Dict[str, ArtifactCache] = {}
 
 
-def _artifact_cache(root: Optional[str],
-                    shared: Optional[str] = None
-                    ) -> Optional[ArtifactCache]:
+def _artifact_cache(root: Optional[str]) -> Optional[ArtifactCache]:
     """Per-process artifact cache over the store at ``root``.
 
-    Workers receive only the root path(s) (cheap to pickle) and build
-    the cache lazily, so every process in a pool shares the same
-    on-disk trace/Stage-1 artifacts instead of recomputing them per
-    worker — the cross-worker duplication the in-memory memos cannot
-    fix.  With a ``shared`` tier root the cache reads through local
-    disk into the shared store, so an artifact computed by any worker
-    on any host serves every other worker.
+    Workers receive only the root path (cheap to pickle) and build the
+    cache lazily, so every process in a pool shares the same on-disk
+    trace/Stage-1 artifacts instead of recomputing them per worker —
+    the cross-worker duplication the in-memory memos cannot fix.
     """
     if not root:
         return None
-    memo_key = (root, shared or None)
-    cache = _ARTIFACTS.get(memo_key)
+    cache = _ARTIFACTS.get(root)
     if cache is None:
-        cache = ArtifactCache(make_store(root, shared))
-        _ARTIFACTS[memo_key] = cache
+        cache = ArtifactCache(ResultStore(root))
+        _ARTIFACTS[root] = cache
     return cache
 
 
@@ -780,8 +765,7 @@ def _execute_cell(cell: Cell, key: str,
                   attempt: int = 1,
                   in_worker: bool = False,
                   telemetry: bool = False,
-                  deny_loads: frozenset = frozenset(),
-                  shared_root: Optional[str] = None
+                  deny_loads: frozenset = frozenset()
                   ) -> Tuple[Any, float, Dict[str, int],
                              Optional[Dict[str, Any]]]:
     """Run one cell with deterministic seeding.
@@ -807,7 +791,7 @@ def _execute_cell(cell: Cell, key: str,
     plan = active_plan()
     if plan is not None:
         plan.fire(key, attempt, in_worker=in_worker)
-    artifacts = _artifact_cache(artifact_root, shared_root)
+    artifacts = _artifact_cache(artifact_root)
     if artifacts is not None:
         # The graph plan's deny set rides along with every execution
         # (serial and worker) and is re-set each time, so one shared
@@ -858,9 +842,6 @@ class _DriveStats:
     timeouts: int = 0
     requeued: int = 0
     rebuilds: int = 0
-    hedges: int = 0      # duplicate submissions launched for stragglers
-    hedge_wins: int = 0  # races where the duplicate finished first
-    hb_lost: int = 0     # workers declared lost by the heartbeat timeout
     abort: Optional[CellFailure] = None  # set in on_error="raise" mode
 
 
@@ -895,50 +876,16 @@ class ParallelRunner:
                  on_error: Optional[str] = None,
                  retries: Optional[int] = None,
                  cell_timeout: Optional[float] = None,
-                 command: Optional[Sequence[str]] = None,
-                 backend: Optional[str] = None,
-                 workers: Optional[str] = None,
-                 shared_store: str = "",
-                 hedge: Optional[float] = None) -> None:
+                 command: Optional[Sequence[str]] = None) -> None:
         self.jobs = resolve_jobs(jobs)
-        # Execution backend: which transport runs cache misses.  Fleet
-        # and ssh backends size from --workers / REPRO_WORKERS; their
-        # slot count becomes the effective job count so the submission
-        # window and report utilization reflect real parallelism.
-        self.backend_name = resolve_backend_name(backend)
-        self.workers_spec = resolve_workers_spec(workers)
-        self.jobs = resolve_slots(self.backend_name, self.jobs,
-                                  self.workers_spec)
         self.store: Optional[ResultStore] = (
             default_store() if store is _AUTO_STORE else store
         )
-        # Shared store tier (--shared-store / REPRO_SHARED_STORE):
-        # results and artifacts read through local disk into a shared
-        # directory every worker/host can reach, and write back to
-        # both.  Off by default; never wraps a caller-supplied custom
-        # store object that lacks a filesystem root.
-        shared_root = resolve_shared(shared_store)
-        if (shared_root is not None and self.store is not None
-                and getattr(self.store, "root", None) is not None
-                and getattr(self.store, "shared", None) is None):
-            self.store = make_store(str(self.store.root), shared_root)
-        # Derive the shared root from the store itself, so a caller
-        # passing an already-tiered store gets workers that read
-        # through the same shared tier.
-        shared_tier = getattr(self.store, "shared", None)
-        self.shared_root: Optional[str] = (
-            str(shared_tier.root) if shared_tier is not None else None)
         self.verbose = _verbose_default() if verbose is None else verbose
         self.on_error = resolve_on_error(on_error)
         self.retries = resolve_retries(retries)
         self.cell_timeout = resolve_cell_timeout(cell_timeout)
         self.retry_backoff = resolve_retry_backoff()
-        # Straggler hedging (--hedge / REPRO_HEDGE, off by default):
-        # when a running cell exceeds this multiple of the observed
-        # median cell duration and an idle slot exists, launch a
-        # duplicate — first completion wins, bit-identical either way
-        # (both copies share the cache key and its deterministic seed).
-        self.hedge = resolve_hedge(hedge)
         # CLI argv that launched this engine; recorded in run manifests
         # so `repro.cli resume` can re-drive an interrupted run.
         self.command: List[str] = list(command) if command else []
@@ -969,24 +916,17 @@ class ParallelRunner:
                      on_error: Optional[str] = None,
                      retries: Optional[int] = None,
                      cell_timeout: Optional[float] = None,
-                     command: Optional[Sequence[str]] = None,
-                     backend: Optional[str] = None,
-                     workers: Optional[str] = None,
-                     shared_store: str = "",
-                     hedge: Optional[float] = None) -> "ParallelRunner":
+                     command: Optional[Sequence[str]] = None
+                     ) -> "ParallelRunner":
         """Build from CLI-style options (``--jobs`` / ``--cache-dir`` /
-        ``--on-error`` / ``--retries`` / ``--cell-timeout`` /
-        ``--backend`` / ``--workers`` / ``--shared-store`` /
-        ``--hedge``).
+        ``--on-error`` / ``--retries`` / ``--cell-timeout``).
 
         An empty ``cache_dir`` defers to ``REPRO_CACHE_DIR``; the
         sentinel values ``off`` / ``none`` / ``0`` disable caching.
         """
         return cls(jobs=jobs, store=resolve_store(cache_dir),
                    on_error=on_error, retries=retries,
-                   cell_timeout=cell_timeout, command=command,
-                   backend=backend, workers=workers,
-                   shared_store=shared_store, hedge=hedge)
+                   cell_timeout=cell_timeout, command=command)
 
     def run(self, cells: Sequence[Cell], label: str = "") -> List[Any]:
         """Resolve every cell (cache or compute); results in cell order.
@@ -1006,7 +946,6 @@ class ParallelRunner:
                    sink: List[Tuple[str, str, Optional[Dict[str, Any]]]]
                    ) -> List[Any]:
         started = time.perf_counter()
-        tier_before = self._tier_counts()
         results: List[Any] = [None] * len(cells)
         outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
         records: List[Tuple[str, str, str]] = []
@@ -1061,8 +1000,7 @@ class ParallelRunner:
             self._drive(tasks, stats, settle, fail)
         finally:
             self._finish_report(outcomes, started, label, artifact_counts,
-                                stats, planned=len(cells), graph=graph,
-                                tier_before=tier_before)
+                                stats, planned=len(cells), graph=graph)
         if self.verbose:
             print(self.last_report.table())
         return results
@@ -1094,7 +1032,6 @@ class ParallelRunner:
             sink: List[Tuple[str, str, Optional[Dict[str, Any]]]]
     ) -> List[float]:
         started = time.perf_counter()
-        tier_before = self._tier_counts()
         results: List[Any] = [None] * len(cells)
         outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
         records: List[Tuple[str, str, str]] = []
@@ -1209,8 +1146,7 @@ class ParallelRunner:
         finally:
             self._finish_report(outcomes, started, label, artifact_counts,
                                 stats, planned=len(cells),
-                                batches=batches, batched=batched, graph=graph,
-                                tier_before=tier_before)
+                                batches=batches, batched=batched, graph=graph)
         if self.verbose:
             print(self.last_report.table())
         return results
@@ -1250,13 +1186,6 @@ class ParallelRunner:
             "exec/graph-shared": report.graph_shared,
             "exec/graph-denied": report.graph_denied,
             "exec/graph-prelude": report.graph_prelude,
-            "exec/store-shared-hits": report.store_shared_hits,
-            "exec/store-shared-fills": report.store_shared_fills,
-            "exec/hedges": report.hedges,
-            "exec/hedge-wins": report.hedge_wins,
-            "exec/heartbeat-lost": report.hb_lost,
-            "exec/store-breaker-trips": report.store_breaker_trips,
-            "exec/store-breaker-open": int(report.store_breaker_open),
         }
 
     def _write_events(self,
@@ -1341,7 +1270,7 @@ class ParallelRunner:
         if not items or self.artifact_root is None or not graph_enabled():
             return None
         try:
-            pstore = make_store(self.artifact_root, self.shared_root)
+            pstore = ResultStore(self.artifact_root)
             model = CostModel.load(pstore)
             plan = plan_cells(items, pstore, model)
         except Exception:
@@ -1414,11 +1343,7 @@ class ParallelRunner:
         read_bytes = artifact_counts.get("read_bytes", 0)
         read_us = artifact_counts.get("read_us", 0)
         if read_bytes and read_us:
-            model.observe_load(read_bytes, read_us / 1e6, tier="local")
-        shared_bytes = artifact_counts.get("shared_read_bytes", 0)
-        shared_us = artifact_counts.get("shared_read_us", 0)
-        if shared_bytes and shared_us:
-            model.observe_load(shared_bytes, shared_us / 1e6, tier="shared")
+            model.observe_load(read_bytes, read_us / 1e6)
         model.save(pstore)
 
     # -- shared fault-tolerant drive machinery ------------------------------
@@ -1467,42 +1392,21 @@ class ParallelRunner:
         if (os.environ.get("REPRO_RUN_MANIFEST", "").lower()
                 in DISABLED_SENTINELS):
             return None
-        exec_info = {"backend": self.backend_name, "jobs": str(self.jobs)}
-        if self.workers_spec is not None:
-            exec_info["workers"] = self.workers_spec
-        if self.shared_root is not None:
-            exec_info["shared_store"] = self.shared_root
         manifest = RunManifest.create(self.store.root, label=label,
                                       command=self.command, cells=records,
-                                      exec_info=exec_info)
+                                      exec_info={"jobs": str(self.jobs)})
         self.last_manifest = manifest
         return manifest
-
-    def _tier_counts(self) -> Dict[str, int]:
-        """Shared-tier counters of the result store (empty if untiered)."""
-        counts = getattr(self.store, "tier_counts", None)
-        return dict(counts()) if callable(counts) else {}
 
     def _finish_report(self, outcomes: Sequence[Optional[CellOutcome]],
                        started: float, label: str,
                        artifact_counts: Dict[str, int], stats: _DriveStats,
                        planned: int, batches: int = 0,
                        batched: int = 0,
-                       graph: Optional[Dict[str, int]] = None,
-                       tier_before: Optional[Dict[str, int]] = None
+                       graph: Optional[Dict[str, int]] = None
                        ) -> ExecReport:
         self._finish_costs(artifact_counts)
         graph = graph or {}
-        # Shared-tier traffic: parent-side result lookups (store tier
-        # counter deltas over this drive) plus worker-side artifact
-        # reads (shipped back in the artifact count deltas).
-        tier_before = tier_before or {}
-        tier_now = self._tier_counts()
-        shared_hits = (tier_now.get("shared_hits", 0)
-                       - tier_before.get("shared_hits", 0)
-                       + artifact_counts.get("shared_hits", 0))
-        shared_fills = (tier_now.get("shared_fills", 0)
-                        - tier_before.get("shared_fills", 0))
         self.last_report = ExecReport(
             outcomes=tuple(outcome for outcome in outcomes
                            if outcome is not None),
@@ -1527,15 +1431,6 @@ class ParallelRunner:
             graph_shared=graph.get("shared", 0),
             graph_denied=graph.get("denied", 0),
             graph_prelude=graph.get("prelude", 0),
-            backend=self.backend_name,
-            store_shared_hits=shared_hits,
-            store_shared_fills=shared_fills,
-            hedges=stats.hedges,
-            hedge_wins=stats.hedge_wins,
-            hb_lost=stats.hb_lost,
-            store_breaker_trips=(tier_now.get("breaker_trips", 0)
-                                 - tier_before.get("breaker_trips", 0)),
-            store_breaker_open=bool(tier_now.get("breaker_open", 0)),
         )
         return self.last_report
 
@@ -1561,8 +1456,7 @@ class ParallelRunner:
             try:
                 result, seconds, delta, tele = _execute_cell(
                     task.cell, task.key, self.artifact_root, task.attempt,
-                    False, obs.enabled(), self._deny_loads,
-                    shared_root=self.shared_root)
+                    False, obs.enabled(), self._deny_loads)
             except KeyboardInterrupt:
                 queue.appendleft(task)
                 raise
@@ -1572,52 +1466,16 @@ class ParallelRunner:
             else:
                 settle(task, result, seconds, delta, tele)
 
-    def _make_backend(self, workers: int) -> ExecutionBackend:
-        return create_backend(self.backend_name, workers, self.workers_spec)
-
-    def _request(self, task: _Task) -> Dict[str, Any]:
-        """Picklable execution request a backend ships to a worker."""
-        return {
-            "cell": task.cell,
-            "key": task.key,
-            "artifact_root": self.artifact_root,
-            "shared_root": self.shared_root,
-            "attempt": task.attempt,
-            "telemetry": obs.enabled(),
-            "deny_loads": self._deny_loads,
-        }
+    def _request(self, task: _Task) -> Tuple[Any, ...]:
+        """Picklable ``_execute_cell`` arguments for one pool worker."""
+        return (task.cell, task.key, self.artifact_root, task.attempt,
+                True, obs.enabled(), self._deny_loads)
 
     def _drive_parallel(self, queue: Deque[_Task], settle, fail, split,
                         stats: _DriveStats, workers: int) -> None:
-        backend = self._make_backend(workers)
-        try:
-            backend.start()
-        except BackendUnavailable as exc:
-            print(f"repro.exec: {self.backend_name} backend unavailable "
-                  f"({exc}); running serially", file=sys.stderr)
-            self._drive_serial(queue, settle, fail, split, stats)
-            return
+        pool = LocalPoolBackend(workers)
         running: Dict[int, _Task] = {}
         next_id = 0
-        # Hedge-race state: completed-cell durations seed the straggler
-        # baseline; ``hedge_twin`` maps each racing copy to its partner
-        # (both directions) and ``hedge_copies`` marks which id is the
-        # duplicate.  A cell with a live twin can never fail the run —
-        # one copy's loss/error/timeout is absorbed while the other
-        # carries the cell.
-        durations: List[float] = []
-        hedge_twin: Dict[int, int] = {}
-        hedge_copies: set = set()
-        hedge_seed: Any = _MISS  # lazily computed cold-start baseline
-
-        def drop_twin_pairing(task_id: int) -> Optional[int]:
-            """Dissolve ``task_id``'s race; returns its live twin, if any."""
-            twin = hedge_twin.pop(task_id, None)
-            if twin is not None:
-                hedge_twin.pop(twin, None)
-            hedge_copies.discard(task_id)
-            return twin if twin in running else None
-
         try:
             while True:
                 need_rebuild = False
@@ -1635,14 +1493,14 @@ class ParallelRunner:
                 while queue and len(running) < workers and stats.abort is None:
                     task = queue.popleft()
                     try:
-                        backend.submit(next_id, self._request(task))
+                        pool.submit(next_id, self._request(task))
                     except BackendUnavailable:
                         queue.appendleft(task)
                         need_rebuild = True
                         break
                     except Exception as exc:
                         # The request itself is bad (e.g. unpicklable
-                        # cell): a cell-level failure, not a transport
+                        # cell): a cell-level failure, not a pool
                         # problem.
                         self._after_failure(task, exc, "error", queue,
                                             stats, fail, split)
@@ -1656,54 +1514,24 @@ class ParallelRunner:
                             return
                         need_rebuild = True  # nothing submitted cleanly
                     else:
-                        for frame in backend.poll(self._poll_interval()):
+                        for frame in pool.poll(self._poll_interval()):
                             task = running.pop(frame.task_id, None)
                             if task is None:
                                 continue
                             if frame.status == FRAME_OK:
-                                won_race = frame.task_id in hedge_copies
-                                twin = drop_twin_pairing(frame.task_id)
-                                if twin is not None:
-                                    # First completion wins; the losing
-                                    # copy is forgotten softly — its
-                                    # slot frees when it finishes.
-                                    running.pop(twin, None)
-                                    backend.discard(twin, kill=False)
-                                    if won_race:
-                                        stats.hedge_wins += 1
                                 result, seconds, delta, tele = frame.payload
-                                durations.append(seconds)
                                 settle(task, result, seconds, delta, tele)
                             elif frame.status == FRAME_LOST:
-                                reason = frame.payload
-                                if (isinstance(reason, str)
-                                        and HEARTBEAT_LOST in reason):
-                                    stats.hb_lost += 1
                                 if self.verbose:
-                                    print(f"repro.exec: {reason}",
+                                    print(f"repro.exec: {frame.payload}",
                                           file=sys.stderr)
-                                if drop_twin_pairing(frame.task_id) \
-                                        is not None:
-                                    # The surviving twin carries the
-                                    # cell; absorb this copy's loss.
-                                    continue
                                 # A worker died under this cell; bump
-                                # its attempt and requeue — exactly the
-                                # old BrokenProcessPool path.
+                                # its attempt, requeue, and rebuild.
                                 task.attempt += 1
                                 stats.requeued += 1
                                 queue.append(task)
                                 need_rebuild = True
                             else:
-                                if drop_twin_pairing(frame.task_id) \
-                                        is not None:
-                                    # Twin still racing: swallow this
-                                    # copy's error.  Deterministic cells
-                                    # fail identically, so a real cell
-                                    # bug still surfaces through the
-                                    # twin; what this absorbs is
-                                    # attempt-scoped transients.
-                                    continue
                                 self._after_failure(task, frame.payload,
                                                     "error", queue, stats,
                                                     fail, split)
@@ -1715,11 +1543,7 @@ class ParallelRunner:
                                 if now - task.started >= self.cell_timeout]
                             for task_id in expired:
                                 task = running.pop(task_id)
-                                backend.discard(task_id)
-                                if drop_twin_pairing(task_id) is not None:
-                                    # Not a run-level timeout: the twin
-                                    # is still inside its own deadline.
-                                    continue
+                                pool.discard(task_id)
                                 stats.timeouts += 1
                                 timeout_exc = TimeoutError(
                                     f"cell exceeded cell-timeout of "
@@ -1732,55 +1556,27 @@ class ParallelRunner:
                                 # capacity is a rebuild.
                                 need_rebuild = True
                                 bump_on_rebuild = False
-                        if (self.hedge is not None and not queue
-                                and running and len(running) < workers
-                                and stats.abort is None
-                                and not need_rebuild):
-                            if hedge_seed is _MISS:
-                                hedge_seed = self._hedge_seed(
-                                    running.values())
-                            baseline = (statistics.median(durations)
-                                        if durations else hedge_seed)
-                            if baseline:
-                                next_id = self._launch_hedges(
-                                    backend, running, next_id,
-                                    baseline * self.hedge, workers,
-                                    hedge_twin, hedge_copies, stats)
                 if need_rebuild:
                     # Tear every worker down and requeue unfinished
                     # cells — everything already settled stays settled
                     # (and stored), so a rebuild loses zero completed
-                    # results.  Of a hedge race caught mid-flight only
-                    # the original is requeued; the duplicate existed
-                    # purely to race it.
-                    for task_id, task in running.items():
-                        if (task_id in hedge_copies
-                                and hedge_twin.get(task_id) in running):
-                            continue
+                    # results.
+                    for task in running.values():
                         if bump_on_rebuild:
                             task.attempt += 1
                         stats.requeued += 1
                         queue.append(task)
                     running.clear()
-                    hedge_twin.clear()
-                    hedge_copies.clear()
                     stats.rebuilds += 1
-                    recovered = False
-                    if stats.rebuilds <= self.max_pool_rebuilds:
-                        try:
-                            backend.rebuild()
-                            recovered = True
-                        except BackendUnavailable:
-                            recovered = False
-                    if not recovered:
-                        # Rebuild budget spent (or workers will not
-                        # come back): finish the remaining cells
-                        # in-process.
-                        backend.close()
+                    if stats.rebuilds > self.max_pool_rebuilds:
+                        # Rebuild budget spent: finish the remaining
+                        # cells in-process.
+                        pool.close()
                         self._drive_serial(queue, settle, fail, split, stats)
                         return
+                    pool.rebuild()
         finally:
-            backend.close()
+            pool.close()
 
     def _after_failure(self, task: _Task, exc: BaseException, kind: str,
                        queue: Deque[_Task], stats: _DriveStats, fail,
@@ -1806,99 +1602,10 @@ class ParallelRunner:
             stats.abort = failure
         fail(task, failure)
 
-    def _launch_hedges(self, backend: ExecutionBackend,
-                       running: Dict[int, _Task], next_id: int,
-                       deadline: float, workers: int,
-                       hedge_twin: Dict[int, int], hedge_copies: set,
-                       stats: _DriveStats) -> int:
-        """Duplicate stragglers onto idle slots; returns the next id.
-
-        A duplicate carries ``attempt + 1`` so attempt-scoped injected
-        faults (``times=1`` rules) do not refire on it — which is also
-        why a hedge can rescue a cell pinned under an injected hang.
-        Results cannot differ: cell seeding depends only on the cache
-        key, so the race is bit-identical by construction and first
-        completion wins.
-        """
-        now = time.monotonic()
-        for task_id, task in list(running.items()):
-            if len(running) >= workers:
-                break
-            if task_id in hedge_twin:
-                continue
-            if now - task.started < deadline:
-                continue
-            clone = _Task(task.cell, task.key, task.context,
-                          attempt=task.attempt + 1)
-            try:
-                backend.submit(next_id, self._request(clone))
-            except Exception:
-                break  # no healthy idle slot after all; try next poll
-            clone.started = time.monotonic()
-            running[next_id] = clone
-            hedge_twin[task_id] = next_id
-            hedge_twin[next_id] = task_id
-            hedge_copies.add(next_id)
-            stats.hedges += 1
-            if self.verbose:
-                print(f"repro.exec: hedging straggler "
-                      f"{task.cell.label()} after "
-                      f"{now - task.started:.2f}s", file=sys.stderr)
-            next_id += 1
-        return next_id
-
-    def _hedge_seed(self, tasks) -> Optional[float]:
-        """Cold-start hedge baseline from the §14 cost model.
-
-        With no completed cell yet, estimate a typical cell duration
-        as the modeled trace + stage-1 compute cost of the largest
-        in-flight cell, doubled for slack (modeled rates undershoot
-        wall time — they exclude stage-2 replay and artifact IO).
-        Returns ``None`` (no hedging until a real duration lands) when
-        no model or access counts are available.
-        """
-        try:
-            if self._cost_state is not None:
-                model = self._cost_state[0]
-            elif self.artifact_root is not None:
-                model = CostModel.load(
-                    make_store(self.artifact_root, self.shared_root))
-            else:
-                return None
-            estimates = [
-                model.compute_cost("trace", accesses)
-                + model.compute_cost("stage1", accesses)
-                for accesses in (self._cell_accesses(task.cell)
-                                 for task in tasks)
-                if accesses > 0]
-            if not estimates:
-                return None
-            return 2.0 * max(estimates)
-        except Exception:
-            return None
-
-    @staticmethod
-    def _cell_accesses(cell: Cell) -> int:
-        """Access count a cell replays (0 when the shape is unknown)."""
-        trace = getattr(cell, "trace", None)
-        if trace is not None:
-            return int(getattr(trace, "accesses", 0) or 0)
-        suite = getattr(cell, "suite", None)
-        if suite is not None:
-            accesses = int(getattr(suite, "accesses", 0) or 0)
-            names = (getattr(cell, "benchmarks", None)
-                     or getattr(suite, "names", None) or ())
-            return accesses * max(1, len(names))
-        return 0
-
     def _poll_interval(self) -> Optional[float]:
         """Wait quantum for the parallel loop; None = block until done."""
         if self.cell_timeout is not None:
             return max(0.02, min(0.1, self.cell_timeout / 5.0))
-        if self.hedge is not None:
-            # Hedge triggers fire on wall time, not on frames — the
-            # loop must wake even when nothing completes.
-            return 0.05
         return None
 
     def _backoff(self, attempt: int) -> None:

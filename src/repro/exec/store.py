@@ -24,19 +24,17 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
-from repro.exec import faults, health
 from repro.exec.cachekey import SCHEMA_VERSION
 
 #: Default cache location, relative to the working directory.
@@ -181,27 +179,16 @@ class ResultStore:
     # -- JSON result blobs -------------------------------------------------
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Return the stored payload for ``key``, or ``None`` on miss."""
-        try:
-            return self.get_strict(key)
-        except OSError:
-            self.stats.misses += 1
-            return None
+        """Return the stored payload for ``key``, or ``None`` on miss.
 
-    def get_strict(self, key: str) -> Optional[Dict[str, Any]]:
-        """Like :meth:`get`, but IO *failure* propagates as ``OSError``.
-
-        Absence (``FileNotFoundError``) and undecodable content are
-        still misses — they are normal cache states.  Everything else
-        (permission loss, stale NFS handles, dead mounts) raises, so
-        the tiered store's circuit breaker can tell a cold cache from
-        a broken one.
+        Absent, unreadable, undecodable and stale-schema blobs are all
+        misses.
         """
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except (FileNotFoundError, ValueError):
+        except (OSError, ValueError):
             self.stats.misses += 1
             return None
         if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
@@ -226,18 +213,10 @@ class ResultStore:
         Framing and schema validation are the caller's responsibility
         (see :mod:`repro.exec.artifacts`).
         """
-        try:
-            return self.get_bytes_strict(key)
-        except OSError:
-            self.stats.misses += 1
-            return None
-
-    def get_bytes_strict(self, key: str) -> Optional[bytes]:
-        """Like :meth:`get_bytes`; IO failure (not absence) raises."""
         path = self._bin_path(key)
         try:
             data = path.read_bytes()
-        except FileNotFoundError:
+        except OSError:
             self.stats.misses += 1
             return None
         self._touch(path)
@@ -256,15 +235,8 @@ class ResultStore:
         recency touch, no hit/miss accounting.
         """
         try:
-            return self.stat_bytes_strict(key)
-        except OSError:
-            return None
-
-    def stat_bytes_strict(self, key: str) -> Optional[int]:
-        """Like :meth:`stat_bytes`; IO failure (not absence) raises."""
-        try:
             return self._bin_path(key).stat().st_size
-        except FileNotFoundError:
+        except OSError:
             return None
 
     # -- shared write/evict machinery -------------------------------------
@@ -330,8 +302,7 @@ class ResultStore:
             except OSError:
                 pass
         # Writers are lock-free, so a blob can land between the ranking
-        # snapshot and this compaction (a concurrent put, or a
-        # read-through fill from the shared tier while gc runs).
+        # snapshot and this compaction (a concurrent put while gc runs).
         # Re-list and keep index entries for the newcomers — ranked by
         # their current log positions — so compaction never erases
         # their recency and marks them for premature eviction.
@@ -417,177 +388,3 @@ class ResultStore:
             pass
         self._count = 0
         return removed
-
-
-# -- tiered (local + shared) store ----------------------------------------
-
-
-@dataclass
-class TierStats:
-    """Per-tier counters for one :class:`TieredResultStore`."""
-
-    local_hits: int = 0
-    shared_hits: int = 0    # read-through hits served by the shared tier
-    shared_fills: int = 0   # write-backs pushed up into the shared tier
-
-
-class TieredResultStore(ResultStore):
-    """Two-level store: local disk backed by a shared directory.
-
-    Lookups try the local tier first; a local miss that hits the
-    shared tier is *read through* — the blob is promoted into the
-    local tier (best effort) and counted as a hit, so a result
-    computed by any worker on any host serves every other worker at
-    local-disk speed after the first pull.  Writes go to both tiers
-    (shared write-back is best effort: a full or flaky shared mount
-    degrades to local-only caching, never to a failed run).
-
-    Deny-set and cache-key semantics are untouched: tiers only change
-    *where* a blob is found, never which key names it or whether a
-    payload validates.  A half-written or corrupt shared blob fails
-    the same schema/decode checks as a local one and degrades to a
-    miss.  ``last_tier`` records where the most recent hit came from
-    (the artifact layer uses it for per-tier throughput accounting).
-
-    Every shared-tier operation runs through a circuit breaker
-    (DESIGN.md §16): after ``REPRO_BREAKER_THRESHOLD`` consecutive IO
-    *failures* (not misses — absence is a normal cache state) the
-    shared tier is skipped wholesale, with one stderr notice, until a
-    half-open probe after ``REPRO_BREAKER_COOLDOWN`` seconds finds it
-    healthy again.  A dead NFS mount therefore costs a handful of
-    failed calls, not one stall per lookup for the rest of the run.
-    """
-
-    def __init__(self, root, shared, max_entries: int = 100_000) -> None:
-        super().__init__(root, max_entries=max_entries)
-        self.shared = ResultStore(shared, max_entries=max_entries)
-        self.tiers = TierStats()
-        self.last_tier = "local"
-        self.breaker = health.make_breaker()
-
-    def _shared_call(self, key: str, op: Callable[[], Any]) -> Any:
-        """One shared-tier operation: breaker gate, chaos hook, verdict.
-
-        Returns the operation's value, or ``None`` when the tier is
-        skipped (breaker open) or the operation failed.  Lookup misses
-        return ``None`` from ``op`` itself and correctly count as
-        successes — the tier answered.
-        """
-        breaker = self.breaker
-        if breaker is not None and not breaker.allow():
-            return None
-        try:
-            faults.shared_tier_fault(key)
-            value = op()
-        except OSError as exc:
-            if breaker is not None and breaker.record_failure():
-                print(
-                    f"repro: shared store tier degraded to local-only: "
-                    f"circuit breaker open after {breaker.threshold} "
-                    f"consecutive IO failure(s) "
-                    f"(cooldown {breaker.cooldown:g}s; last: {exc})",
-                    file=sys.stderr)
-            return None
-        if breaker is not None:
-            breaker.record_success()
-        return value
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        payload = super().get(key)
-        if payload is not None:
-            self.last_tier = "local"
-            self.tiers.local_hits += 1
-            return payload
-        payload = self._shared_call(
-            key, lambda: self.shared.get_strict(key))
-        if payload is None:
-            return None
-        try:
-            ResultStore.put(self, key, payload)  # read-through fill
-        except OSError:
-            pass
-        self.stats.misses -= 1  # the local-tier miss became a hit
-        self.stats.hits += 1
-        self.tiers.shared_hits += 1
-        self.last_tier = "shared"
-        return payload
-
-    def get_bytes(self, key: str) -> Optional[bytes]:
-        data = super().get_bytes(key)
-        if data is not None:
-            self.last_tier = "local"
-            self.tiers.local_hits += 1
-            return data
-        data = self._shared_call(
-            key, lambda: self.shared.get_bytes_strict(key))
-        if data is None:
-            return None
-        try:
-            ResultStore.put_bytes(self, key, data)  # read-through fill
-        except OSError:
-            pass
-        self.stats.misses -= 1
-        self.stats.hits += 1
-        self.tiers.shared_hits += 1
-        self.last_tier = "shared"
-        return data
-
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
-        super().put(key, payload)
-        filled = self._shared_call(
-            key, lambda: (self.shared.put(key, payload), True)[1])
-        if filled:
-            self.tiers.shared_fills += 1
-
-    def put_bytes(self, key: str, data: bytes) -> None:
-        super().put_bytes(key, data)
-        filled = self._shared_call(
-            key, lambda: (self.shared.put_bytes(key, data), True)[1])
-        if filled:
-            self.tiers.shared_fills += 1
-
-    def stat_bytes_tier(self, key: str) -> Optional[tuple]:
-        """``(size, tier)`` for the blob, or ``None``; no counters."""
-        size = super().stat_bytes(key)
-        if size is not None:
-            return size, "local"
-        size = self._shared_call(
-            key, lambda: self.shared.stat_bytes_strict(key))
-        if size is not None:
-            return size, "shared"
-        return None
-
-    def stat_bytes(self, key: str) -> Optional[int]:
-        stat = self.stat_bytes_tier(key)
-        return None if stat is None else stat[0]
-
-    def tier_counts(self) -> Dict[str, int]:
-        breaker = self.breaker
-        return {
-            "local_hits": self.tiers.local_hits,
-            "shared_hits": self.tiers.shared_hits,
-            "shared_fills": self.tiers.shared_fills,
-            "breaker_trips": 0 if breaker is None else breaker.trips,
-            "breaker_skips": 0 if breaker is None else breaker.skips,
-            "breaker_open": int(breaker is not None
-                                and breaker.state != health.CLOSED),
-        }
-
-
-def resolve_shared(shared: str = "") -> Optional[str]:
-    """Shared-tier root from ``--shared-store`` / ``REPRO_SHARED_STORE``.
-
-    Empty defers to the environment; the usual disable sentinels
-    (``off`` / ``none`` / ``0``) turn the shared tier off.
-    """
-    value = shared or os.environ.get("REPRO_SHARED_STORE", "")
-    if not value or value.lower() in DISABLED_SENTINELS:
-        return None
-    return value
-
-
-def make_store(root, shared: Optional[str] = None) -> ResultStore:
-    """A store over ``root``, tiered onto ``shared`` when given."""
-    if shared:
-        return TieredResultStore(root, shared)
-    return ResultStore(root)

@@ -44,16 +44,8 @@ DEFAULT_RATES: Dict[str, float] = {"trace": 4e-6, "stage1": 6e-6}
 #: Default store read throughput (bytes/second) before any measurement.
 DEFAULT_READ_BPS = 200e6
 
-#: Default *shared-tier* read throughput: a shared/remote store
-#: directory (NFS mount, network disk) is assumed substantially slower
-#: than local disk until measured.
-DEFAULT_SHARED_READ_BPS = 60e6
-
 #: Fixed per-read overhead: open/stat/frame-validation, independent of size.
 READ_OVERHEAD_S = 3e-4
-
-#: Per-read overhead for the shared tier (adds a round trip).
-SHARED_READ_OVERHEAD_S = 2e-3
 
 #: EWMA smoothing weight for new observations.
 EWMA_ALPHA = 0.3
@@ -70,7 +62,6 @@ class CostModel:
 
     rates: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_RATES))
     read_bps: float = DEFAULT_READ_BPS
-    shared_read_bps: float = DEFAULT_SHARED_READ_BPS
     samples: int = 0
 
     # -- estimation --------------------------------------------------------
@@ -79,17 +70,8 @@ class CostModel:
         """Predicted seconds to recreate a node from ready parents."""
         return self.rates.get(kind, 0.0) * max(accesses, 0)
 
-    def load_cost(self, blob_bytes: int, tier: str = "local") -> float:
-        """Predicted seconds to read + decode a materialized blob.
-
-        ``tier`` prices where the blob actually lives: a node present
-        only in the shared store directory pays the shared tier's
-        measured throughput and round-trip overhead, so the planner
-        may genuinely prefer recomputing over a slow remote load.
-        """
-        if tier == "shared":
-            return (SHARED_READ_OVERHEAD_S
-                    + max(blob_bytes, 0) / max(self.shared_read_bps, 1.0))
+    def load_cost(self, blob_bytes: int) -> float:
+        """Predicted seconds to read + decode a materialized blob."""
         return READ_OVERHEAD_S + max(blob_bytes, 0) / max(self.read_bps, 1.0)
 
     def estimate_bytes(self, kind: str, accesses: int) -> int:
@@ -109,18 +91,12 @@ class CostModel:
         )
         self.samples += 1
 
-    def observe_load(self, nbytes: int, seconds: float,
-                     tier: str = "local") -> None:
+    def observe_load(self, nbytes: int, seconds: float) -> None:
         """Fold one measured (bytes, seconds) store-read sample in."""
         if nbytes <= 0 or seconds <= 0.0:
             return
         bps = nbytes / seconds
-        if tier == "shared":
-            self.shared_read_bps = ((1.0 - EWMA_ALPHA) * self.shared_read_bps
-                                    + EWMA_ALPHA * bps)
-        else:
-            self.read_bps = ((1.0 - EWMA_ALPHA) * self.read_bps
-                             + EWMA_ALPHA * bps)
+        self.read_bps = (1.0 - EWMA_ALPHA) * self.read_bps + EWMA_ALPHA * bps
         self.samples += 1
 
     # -- persistence -------------------------------------------------------
@@ -129,7 +105,6 @@ class CostModel:
         return {
             "rates": {kind: rate for kind, rate in sorted(self.rates.items())},
             "read_bps": self.read_bps,
-            "shared_read_bps": self.shared_read_bps,
             "samples": self.samples,
         }
 
@@ -141,8 +116,6 @@ class CostModel:
         return cls(
             rates=rates,
             read_bps=float(payload.get("read_bps", DEFAULT_READ_BPS)),
-            shared_read_bps=float(payload.get("shared_read_bps",
-                                              DEFAULT_SHARED_READ_BPS)),
             samples=int(payload.get("samples", 0)),
         )
 

@@ -47,7 +47,6 @@ class GraphNode:
     consumers: int = 0             # number of cells referencing the node
     materialized: bool = False     # blob present in the store at plan time
     blob_bytes: int = 0            # size of the materialized blob
-    tier: str = "local"            # store tier holding the blob
     compute_cost: float = 0.0      # C_i(v), filled by plan()
     load_cost: float = float("inf")  # C_l(v), finite iff materialized
     action: str = "compute"        # "load" | "compute", filled by plan()
@@ -92,7 +91,7 @@ class ExperimentGraph:
                 recreation[parent] for parent in node.parents
             )
             if node.materialized:
-                node.load_cost = costs.load_cost(node.blob_bytes, node.tier)
+                node.load_cost = costs.load_cost(node.blob_bytes)
                 if node.load_cost < total:
                     node.action = "load"
                     recreation[key] = node.load_cost

@@ -186,21 +186,12 @@ def plan_cells(items: Sequence[Tuple[Any, str]], store: ResultStore,
             graph.nodes[key].consumers += 1
 
     # Stat the store for materialized blobs + sizes, then run the
-    # passes.  A tiered store reports which tier holds each blob, so
-    # loads from the shared directory are priced at the shared tier's
-    # measured throughput.
-    stat_tier = getattr(store, "stat_bytes_tier", None)
+    # passes.
     for node in graph.artifact_nodes():
-        if stat_tier is not None:
-            stat = stat_tier(node.key)
-            if stat is not None:
-                node.materialized = True
-                node.blob_bytes, node.tier = stat
-        else:
-            size = store.stat_bytes(node.key)
-            if size is not None:
-                node.materialized = True
-                node.blob_bytes = size
+        size = store.stat_bytes(node.key)
+        if size is not None:
+            node.materialized = True
+            node.blob_bytes = size
     graph.plan(costs)
 
     deny = frozenset(

@@ -7,7 +7,7 @@ policy compare against cold and warm artifact caches, producing the
 Report schema (``REPORT_SCHEMA``)::
 
     {
-      "schema": 10,               # REPORT_SCHEMA, not the cache schema
+      "schema": 11,               # REPORT_SCHEMA, not the cache schema
       "scale": "tiny",
       "benchmark": "soplex",      # hot-path micro-benchmark workload
       "accesses": 4000,
@@ -70,15 +70,6 @@ Report schema (``REPORT_SCHEMA``)::
             "file_bytes": int     # on-disk fixture size (gz'd for text)
           }
         }
-      },
-      "dist": {                   # execution-backend dispatch overhead
-        "benchmarks": [...], "policies": [...],
-        "workers": int, "cells": int,
-        "fleet_startup_s": float, # spawn -> hello handshake -> close
-        "local_s": float,         # local pool backend, artifact-warm
-        "fleet_s": float,         # worker-fleet backend, artifact-warm
-        "dispatch_overhead_s": float, # fleet_s-startup-local_s (signed)
-        "per_cell_overhead_s": float  # dispatch_overhead_s / cells
       }
     }
 
@@ -109,7 +100,7 @@ from repro.sim.single import SingleThreadRunner
 from repro.traces.trace import Segment
 from repro.traces.workloads import build_segments
 
-REPORT_SCHEMA = 10
+REPORT_SCHEMA = 11
 # Instrumentation with telemetry disabled may cost at most this
 # fraction of a Stage-2 replay (the obs layer's headline promise).
 TELEMETRY_DISABLED_BUDGET = 0.02
@@ -129,14 +120,6 @@ GRAPH_OVERHEAD_ALLOWANCE_S = 0.02
 # The C Stage-2 kernel must beat the per-candidate reference replay
 # (LLCSimulator) by at least this factor on the Stage-2 replay itself.
 KERNEL_MIN_SPEEDUP = 1.5
-# The worker-fleet backend may tax an artifact-warm compare by at most
-# this factor over the local pool, plus the measured transport startup
-# and a fixed allowance.  The allowance covers the per-run cost that
-# does not scale with cell count: each fresh fleet worker is a spawned
-# interpreter that lazily imports the simulation stack at its first
-# cell, where a forked pool worker inherits the parent's modules.
-FLEET_MAX_SLOWDOWN = 1.15
-FLEET_STARTUP_ALLOWANCE_S = 2.0
 # Every streaming trace reader must decode at least this many records
 # per second — a floor far under steady-state (the pure-Python text
 # parser clears it by an order of magnitude on an idle host) chosen so
@@ -657,97 +640,6 @@ def bench_ingest(repeats: int, records: int = 50_000) -> Dict[str, Any]:
     return {"records": records, "formats": formats}
 
 
-# -- distributed execution (local pool vs worker fleet) --------------------
-
-
-def bench_dist(scale: ReproScale, cache_root: str,
-               benchmarks: Sequence[str] = ("gamess", "hmmer"),
-               policies: Sequence[str] = DEFAULT_POLICIES,
-               repeats: int = 1, workers: int = 2) -> Dict[str, Any]:
-    """Dispatch overhead of the worker-fleet backend vs the local pool.
-
-    Both arms run the same artifact-warm compare (no result store —
-    every cell computes; the artifact cache is pre-populated so the
-    shared stages load) with ``workers`` slots; the only difference is
-    the transport moving cells to workers.  ``fleet_startup_s``
-    isolates the transport bring-up (spawn ``workers`` processes, wait
-    for their hello handshakes, shut down), so the report separates
-    the per-run fixed cost from the per-cell framing/pickle overhead
-    the :data:`FLEET_MAX_SLOWDOWN` gate bounds.
-    """
-    from repro.exec import runner as exec_runner
-    from repro.exec.backends import WorkerFleetBackend, worker_command
-    from repro.exec.runner import ParallelRunner, SingleCell, TraceSpec
-
-    def build_cells():
-        return [
-            SingleCell(
-                trace=TraceSpec(name, scale.hierarchy.llc_bytes,
-                                scale.segment_accesses),
-                policy=policy,
-                hierarchy=scale.hierarchy,
-                warmup_fraction=scale.warmup_fraction,
-            )
-            for policy in policies for name in benchmarks
-        ]
-
-    def timed_run(backend: str) -> float:
-        exec_runner._SEGMENTS.clear()
-        exec_runner._RUNNERS.clear()
-        exec_runner._ARTIFACTS.clear()
-        engine = ParallelRunner(jobs=workers, store=None, verbose=False,
-                                backend=backend)
-        engine.artifact_root = cache_root
-        started = time.perf_counter()
-        engine.run(build_cells(), label="perf-dist")
-        return time.perf_counter() - started
-
-    def startup() -> None:
-        backend = WorkerFleetBackend([worker_command()] * workers)
-        backend.start()
-        try:
-            deadline = time.monotonic() + 60.0
-            while (not all(worker.ready for worker in backend._fleet)
-                   and time.monotonic() < deadline):
-                backend.poll(timeout=0.1)
-        finally:
-            backend.close()
-
-    fleet_startup_s = _best_of(repeats, startup)
-
-    cells = len(build_cells())
-    # Scheduler pinned off for arm symmetry with :func:`bench_compare`;
-    # one untimed serial run materializes the artifact cache.
-    with _env("REPRO_GRAPH", "off"):
-        timed_run("local")  # artifact-cache warmup, untimed
-        local_s = min(timed_run("local") for _ in range(max(1, repeats)))
-        fleet_s = min(timed_run("fleet") for _ in range(max(1, repeats)))
-        # Liveness arm: the same fleet run with worker heartbeats on
-        # (DESIGN.md §16).  Recorded, never gated — the headline
-        # FLEET_MAX_SLOWDOWN promise covers the *default* path, where
-        # heartbeats are off and cost exactly nothing; this arm tracks
-        # what turning them on adds (a per-interval frame write plus a
-        # bounded parent poll quantum).
-        with _env("REPRO_HEARTBEAT", "0.5"):
-            fleet_hb_s = min(timed_run("fleet")
-                             for _ in range(max(1, repeats)))
-
-    dispatch = fleet_s - fleet_startup_s - local_s
-    return {
-        "benchmarks": list(benchmarks),
-        "policies": list(policies),
-        "workers": workers,
-        "cells": cells,
-        "fleet_startup_s": round(fleet_startup_s, 6),
-        "local_s": round(local_s, 6),
-        "fleet_s": round(fleet_s, 6),
-        "fleet_heartbeat_s": round(fleet_hb_s, 6),
-        "heartbeat_overhead_s": round(fleet_hb_s - fleet_s, 6),
-        "dispatch_overhead_s": round(dispatch, 6),
-        "per_cell_overhead_s": round(dispatch / cells, 6) if cells else 0.0,
-    }
-
-
 # -- report ----------------------------------------------------------------
 
 
@@ -782,15 +674,11 @@ def build_report(scale_name: str = "", benchmark: str = "soplex",
                                               tmp, repeats=repeats)
             report["graph"] = bench_graph(scale, tmp, policies,
                                           repeats=repeats)
-            report["dist"] = bench_dist(scale, tmp, policies=policies,
-                                        repeats=repeats)
     else:
         report["compare"] = bench_compare(scale, benchmarks, policies,
                                           cache_root, repeats=repeats)
         report["graph"] = bench_graph(scale, cache_root, policies,
                                       repeats=repeats)
-        report["dist"] = bench_dist(scale, cache_root, policies=policies,
-                                    repeats=repeats)
     return report
 
 
@@ -809,10 +697,6 @@ def check_report(report: Dict[str, Any],
     * The graph-scheduled warm compare must stay within
       :data:`GRAPH_MAX_SLOWDOWN` of the unplanned warm path plus the
       fixed :data:`GRAPH_OVERHEAD_ALLOWANCE_S` planning allowance.
-    * The worker-fleet backend must keep an artifact-warm compare
-      within :data:`FLEET_MAX_SLOWDOWN` of the local pool, after the
-      measured transport startup plus the fixed
-      :data:`FLEET_STARTUP_ALLOWANCE_S` worker-import allowance.
 
     Returns a list of failure messages (empty = pass).
     """
@@ -864,19 +748,6 @@ def check_report(report: Dict[str, Any],
                 f"than unplanned warm {warm:.4f}s (allowed "
                 f"x{GRAPH_MAX_SLOWDOWN} + "
                 f"{GRAPH_OVERHEAD_ALLOWANCE_S * 1e3:.0f}ms fixed, "
-                f"tolerance x{tolerance})"
-            )
-    dist = report.get("dist")
-    if dist is not None:
-        local_s, fleet_s = dist["local_s"], dist["fleet_s"]
-        budget = (local_s * FLEET_MAX_SLOWDOWN + dist["fleet_startup_s"]
-                  + FLEET_STARTUP_ALLOWANCE_S)
-        if fleet_s > budget * tolerance:
-            failures.append(
-                f"dist: fleet compare {fleet_s:.4f}s slower than local "
-                f"pool {local_s:.4f}s (allowed x{FLEET_MAX_SLOWDOWN} + "
-                f"{dist['fleet_startup_s']:.3f}s startup + "
-                f"{FLEET_STARTUP_ALLOWANCE_S:.1f}s import allowance, "
                 f"tolerance x{tolerance})"
             )
     return failures
@@ -953,14 +824,6 @@ def format_report(report: Dict[str, Any]) -> str:
             f"warm {graph['warm_s']:.3f}s/"
             f"{graph['graph_warm_s']:.3f}s  "
             f"(unplanned/scheduled, warm x{graph['warm_speedup']:.2f})"
-        )
-    dist = report.get("dist")
-    if dist is not None:
-        lines.append(
-            f"  dist    {dist['cells']} cells x {dist['workers']} workers: "
-            f"local {dist['local_s']:.3f}s  fleet {dist['fleet_s']:.3f}s  "
-            f"(startup {dist['fleet_startup_s']:.3f}s, "
-            f"{dist['per_cell_overhead_s'] * 1e3:+.1f}ms/cell dispatch)"
         )
     return "\n".join(lines)
 

@@ -8,9 +8,8 @@ asymmetries versus the synthetic path:
 
 * **Content digest, not path, in every key.**  ``payload()`` hashes
   the file's SHA-256 plus the decode/window recipe — never the path —
-  so renaming or copying a trace keeps every cached artifact valid,
-  and two hosts with the same file share results through the shared
-  store tier.  The digest is computed once per file and persisted in a
+  so renaming or copying a trace keeps every cached artifact valid.
+  The digest is computed once per file and persisted in a
   ``<file>.repro-digest.json`` sidecar (revalidated by size+mtime), so
   repeated runs never re-hash a multi-GB trace.
 

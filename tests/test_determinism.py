@@ -14,7 +14,6 @@ in the commit message.  If you did not intend to change output, a
 failure here means a bug.
 """
 
-import time
 
 import pytest
 
@@ -274,73 +273,6 @@ class TestFaultedPins:
         assert engine.last_report.failures == ()
 
 
-class TestFleetPins:
-    """The worker-fleet backend moves execution into long-lived framed
-    subprocesses — the transport must never touch results.  Pins must
-    reproduce local vs fleet, cold vs warm, and through injected
-    worker loss."""
-
-    def test_fleet_matches_local_pins(self):
-        engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet")
-        _assert_pinned(engine)
-        assert engine.last_report.backend == "fleet"
-
-    def test_fleet_cold_then_warm_store(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        _assert_pinned(ParallelRunner(jobs=2, store=store, verbose=False,
-                                      backend="fleet"))
-        warm = ParallelRunner(jobs=2, store=store, verbose=False,
-                              backend="fleet")
-        _assert_pinned(warm)
-        assert warm.last_report.hits == warm.last_report.cells
-
-    def test_single_worker_fleet_matches(self):
-        _assert_pinned(ParallelRunner(jobs=1, store=None, verbose=False,
-                                      backend="fleet", workers="2"))
-
-    def test_fleet_worker_loss_reproduces_pins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:every=3")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet", retries=1)
-        _assert_pinned(engine)
-        # The crash killed a live fleet worker mid-cell; the lost-frame
-        # requeue + rebuild machinery recovered it exactly once.
-        assert engine.last_report.pool_rebuilds >= 1
-        assert engine.last_report.requeued >= 1
-        assert engine.last_report.failures == ()
-
-
-class TestSharedTierPins:
-    """A result computed through one node's store must serve any other
-    node as a shared-tier read-through hit, bit-identically."""
-
-    def test_read_through_between_stores(self, tmp_path):
-        from repro.exec.store import TieredResultStore
-
-        cells = _single_cells()
-        shared = tmp_path / "shared"
-        first = ParallelRunner(
-            jobs=2, verbose=False, backend="fleet",
-            store=TieredResultStore(tmp_path / "node-a", shared))
-        results = first.run(cells, label="pin/single")
-        assert stable_hash({"results": [r.to_dict() for r in results]}) \
-            == SINGLE_HASH
-        assert first.last_report.store_shared_fills >= len(cells)
-
-        # A different node: fresh local tier, same shared directory.
-        second = ParallelRunner(
-            jobs=2, verbose=False, backend="fleet",
-            store=TieredResultStore(tmp_path / "node-b", shared))
-        results = second.run(cells, label="pin/single")
-        assert stable_hash({"results": [r.to_dict() for r in results]}) \
-            == SINGLE_HASH
-        report = second.last_report
-        assert report.hits == report.cells
-        assert report.store_shared_hits == len(cells)
-
-
 class TestTelemetryPins:
     """Telemetry reads ``perf_counter`` and its own counters — never the
     ``random`` module or simulator state — so every pin must reproduce
@@ -415,137 +347,6 @@ class TestGraphPins:
     def test_search_pin_with_graph(self, monkeypatch):
         monkeypatch.setenv("REPRO_GRAPH", "on")
         assert _search_hash() == SEARCH_HASH
-
-
-class TestChaosPins:
-    """Network chaos (DESIGN.md §16) — dropped/duplicated/delayed/torn
-    frames, one-way partitions, straggler hedging, and a dead shared
-    tier — must reproduce the clean pins bit-for-bit, and the health
-    layer must recover faster than the blunt instruments it augments."""
-
-    def test_frame_drop_recovers_via_heartbeats(self, monkeypatch):
-        # A dropped result frame leaves the slot busy-but-silent
-        # forever: only the heartbeat timeout can notice (the worker
-        # finished, so it is not even hung).
-        monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "frame-drop:every=3")
-        engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet")
-        _assert_pinned(engine)
-        # every=3 selects at least one cell (the same selector the
-        # crash:every=3 test relies on); its dropped frame was detected
-        # by the heartbeat timeout and the cell requeued.
-        report = engine.last_report
-        assert report.hb_lost >= 1
-        assert report.requeued >= 1
-        assert report.failures == ()
-
-    def test_torn_dup_and_delayed_frames_reproduce_pins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEARTBEAT", "0.2")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        monkeypatch.setenv(
-            "REPRO_FAULT_INJECT",
-            "frame-dup:every=3;frame-delay:every=4,seconds=0.3;"
-            "frame-trunc:every=5")
-        engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet")
-        _assert_pinned(engine)
-        assert engine.last_report.failures == ()
-
-    def test_heartbeat_beats_the_watchdog_on_a_hung_worker(self,
-                                                           monkeypatch):
-        # Acceptance check: with heartbeats on, a hung worker is
-        # recovered in a couple of seconds — the generous cell watchdog
-        # (the only line of defense before §16) never has to fire.
-        cells = _single_cells()
-        victim = stable_hash(cells[0].key_payload())
-        monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
-        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "2")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        monkeypatch.setenv(
-            "REPRO_FAULT_INJECT",
-            f"hb-loss:key={victim[:16]};hang:key={victim[:16]},seconds=600")
-        engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet", cell_timeout=120)
-        started = time.monotonic()
-        results = engine.run(cells, label="pin/single")
-        wall = time.monotonic() - started
-        assert stable_hash({"results": [r.to_dict() for r in results]}) \
-            == SINGLE_HASH
-        report = engine.last_report
-        assert report.hb_lost >= 1
-        assert report.requeued >= 1
-        assert report.timeouts == 0   # the watchdog never fired
-        assert report.failures == ()
-        assert wall < 60.0            # well under the 120s watchdog
-
-    def test_hedged_straggler_race_reproduces_pins(self, monkeypatch):
-        cells = _single_cells()
-        victim = stable_hash(cells[0].key_payload())
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        monkeypatch.setenv("REPRO_FAULT_INJECT",
-                           f"hang:key={victim[:16]},seconds=30")
-        engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet", hedge=2.0)
-        started = time.monotonic()
-        results = engine.run(cells, label="pin/single")
-        wall = time.monotonic() - started
-        assert stable_hash({"results": [r.to_dict() for r in results]}) \
-            == SINGLE_HASH
-        report = engine.last_report
-        # The duplicate (attempt 2, which the times=1 hang rule skips)
-        # won the race; the hung original was discarded, softly.
-        assert report.hedges >= 1
-        assert report.hedge_wins >= 1
-        assert report.failures == ()
-        assert wall < 20.0            # the clone rescued a 30s straggler
-
-    def test_open_breaker_preserves_pins(self, tmp_path, monkeypatch):
-        from repro.exec import faults
-        from repro.exec.store import TieredResultStore
-
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "shared-fail")
-        faults.reset_injection_state()
-        store = TieredResultStore(tmp_path / "node", tmp_path / "shared")
-        engine = ParallelRunner(jobs=2, store=store, verbose=False,
-                                backend="fleet")
-        _assert_pinned(engine)
-        report = engine.last_report
-        assert report.store_breaker_open
-        assert report.store_shared_fills == 0
-        assert "breaker=open" in report.summary()
-        assert report.failures == ()
-        # The local tier alone serves a fully warm rerun.
-        warm = ParallelRunner(jobs=2, store=store, verbose=False,
-                              backend="fleet")
-        _assert_pinned(warm)
-        assert warm.last_report.hits == warm.last_report.cells
-
-    def test_search_pin_under_frame_chaos(self, monkeypatch):
-        from repro.search.evaluator import FeatureSetEvaluator
-        from repro.search.hillclimb import hill_climb
-        from repro.search.random_search import random_search
-
-        monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "frame-drop:every=6")
-        engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet")
-        spec = SuiteSpec(TINY.hierarchy.llc_bytes, ACCESSES,
-                         names=("gamess", "soplex"))
-        evaluator = FeatureSetEvaluator.from_spec(
-            spec, TINY.hierarchy, warmup_fraction=TINY.warmup_fraction,
-            executor=engine)
-        candidates = random_search(evaluator, num_sets=6, seed=123)
-        refined = hill_climb(evaluator, candidates[0].features, steps=4,
-                             seed=123)
-        assert stable_hash({
-            "random": [[f.spec() for f in c.features] for c in candidates],
-            "random_mpki": [c.mpki for c in candidates],
-            "refined": [f.spec() for f in refined.features],
-            "refined_mpki": refined.mpki,
-        }) == SEARCH_HASH
 
 
 class TestIngestPins:

@@ -83,6 +83,9 @@ class TestFaultSpecParsing:
         "raise:every=two",
         "raise:volume=11",
         "raise:every=0",
+        "frame-drop",
+        "hb-loss",
+        "shared-fail",
     ])
     def test_bad_specs_raise_config_error(self, spec):
         with pytest.raises(ConfigError):
@@ -160,11 +163,7 @@ class TestCrashRecovery:
     def test_serial_crash_degrades_to_raise(self, monkeypatch, no_backoff,
                                             clean_results):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:every=1")
-        # Serial degradation is a local-pool path: pin the backend so a
-        # REPRO_BACKEND=fleet environment (CI dist-smoke) can't reroute
-        # the crash into a worker process.
-        engine = ParallelRunner(jobs=1, store=None, verbose=False, retries=1,
-                                backend="local")
+        engine = ParallelRunner(jobs=1, store=None, verbose=False, retries=1)
         assert engine.run(_cells()) == clean_results
         assert engine.last_report.retries == len(clean_results)
 
@@ -190,11 +189,8 @@ class TestWatchdogTimeout:
         victim = _keys(cells)[0][:16]
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            f"hang:key={victim},seconds=30,times=99")
-        # Pin the local pool: fleet worker loss requeues the innocent
-        # in-flight cell differently, and this test asserts the exact
-        # local watchdog bookkeeping.
         engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                cell_timeout=0.5, backend="local")
+                                cell_timeout=0.5)
         results = engine.run(cells)
         report = engine.last_report
         assert results[0] is None and results[1] is not None

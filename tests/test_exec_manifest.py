@@ -6,6 +6,10 @@ re-drives exactly the unfinished cells (the completed ones are store
 hits).
 """
 
+import json
+
+import pytest
+
 from repro.cli import main
 from repro.config import TINY
 from repro.exec import (
@@ -145,6 +149,14 @@ class TestTornDoneLog:
         manifest.mark(CELLS[0][0], "done")
         assert self._create(tmp_path).completed() == {CELLS[0][0]}
 
+    def test_manifest_fsync(self, monkeypatch):
+        from repro.exec.manifest import manifest_fsync
+
+        monkeypatch.delenv("REPRO_MANIFEST_FSYNC", raising=False)
+        assert manifest_fsync() is False
+        monkeypatch.setenv("REPRO_MANIFEST_FSYNC", "1")
+        assert manifest_fsync() is True
+
 
 class TestExecFlagStripping:
     def test_strips_space_and_equals_forms(self):
@@ -169,17 +181,17 @@ class TestExecFlagStripping:
     def test_exec_info_updates_without_losing_progress(self, tmp_path):
         first = RunManifest.create(
             tmp_path, label="t", command=["compare"], cells=CELLS,
-            exec_info={"backend": "local", "jobs": "1"})
+            exec_info={"jobs": "1"})
         first.mark(CELLS[0][0], "done")
         again = RunManifest.create(
             tmp_path, label="t", command=["compare"], cells=CELLS,
-            exec_info={"backend": "fleet", "jobs": "2"})
+            exec_info={"jobs": "2"})
         assert again.run_id == first.run_id
         assert again.completed() == {CELLS[0][0]}  # .done log untouched
         loaded = RunManifest.load(tmp_path, first.run_id)
-        assert loaded.exec_info == {"backend": "fleet", "jobs": "2"}
+        assert loaded.exec_info == {"jobs": "2"}
 
-    def test_runner_records_backend_in_manifest(self, tmp_path):
+    def test_runner_records_jobs_in_manifest(self, tmp_path):
         cells = [
             SingleCell(
                 trace=TraceSpec(name, TINY.hierarchy.llc_bytes, 2_000),
@@ -190,12 +202,10 @@ class TestExecFlagStripping:
             for name in ("gamess", "soplex")
         ]
         engine = ParallelRunner(jobs=2, store=ResultStore(tmp_path),
-                                verbose=False, command=["compare", "-x"],
-                                backend="fleet")
+                                verbose=False, command=["compare", "-x"])
         engine.run(cells, label="t")
         manifest = engine.last_manifest
-        assert manifest.exec_info["backend"] == "fleet"
-        assert manifest.exec_info["jobs"] == "2"
+        assert manifest.exec_info == {"jobs": "2"}
         assert RunManifest.load(tmp_path, manifest.run_id).exec_info \
             == manifest.exec_info
 
@@ -256,16 +266,55 @@ class TestCliResume:
 
         monkeypatch.delenv("REPRO_FAULT_INJECT")
         assert main(["resume", run_id[:12], "--cache-dir", cache,
-                     "--jobs", "2", "--backend", "fleet"]) == 0
+                     "--jobs", "2"]) == 0
         out = capsys.readouterr().out
-        assert "--backend fleet" in out  # overrides in the re-driven argv
+        assert "--jobs 2" in out  # the override in the re-driven argv
+        assert "--jobs 1" not in out
         # Exec flags never enter the run id: the same manifest was
         # reopened, finished, and now records the overridden settings.
         [manifest] = list_runs(cache)
         assert manifest.run_id == run_id
         assert manifest.is_complete
-        assert manifest.exec_info["backend"] == "fleet"
-        assert manifest.exec_info["jobs"] == "2"
+        assert manifest.exec_info == {"jobs": "2"}
+
+    def test_resume_drops_retired_exec_flags(self, tmp_path, monkeypatch,
+                                             capsys):
+        # A run recorded before the distributed backends were removed
+        # carries flags the CLI now rejects; resume re-drives it on the
+        # local pool under the same run id.
+        cache = str(tmp_path / "cache")
+        argv = ["compare", "--benchmarks", "gamess", "soplex",
+                "--policies", "lru", "--scale", "tiny", "--cache-dir", cache]
+        retired = ["--backend=fleet", "--workers", "2",
+                   "--shared-store", "/x", "--hedge", "2.0"]
+        with pytest.raises(SystemExit) as rejected:
+            main(argv + retired[:1])
+        assert rejected.value.code == 2  # an unknown argument now
+        capsys.readouterr()
+        victim = self._victim_key()
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setenv("REPRO_FAULT_INJECT",
+                           f"raise:key={victim[:16]},times=99")
+        assert main(argv) == 1
+        capsys.readouterr()
+        [manifest] = list_runs(cache)
+        payload = json.loads(manifest.path.read_text())
+        payload["command"] = argv + retired
+        payload["exec"] = {"backend": "fleet", "jobs": "2", "workers": "2",
+                           "shared_store": "/x"}
+        manifest.path.write_text(json.dumps(payload))
+
+        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        assert main(["resume", manifest.run_id[:12],
+                     "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert "hits=1/2" in out
+        for flag in ("--backend", "--workers", "--shared-store", "--hedge"):
+            assert flag not in out
+        [resumed] = list_runs(cache)
+        assert resumed.run_id == manifest.run_id
+        assert resumed.is_complete
+        assert resumed.exec_info == {"jobs": "1"}
 
     def test_resume_lists_runs(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")

@@ -184,96 +184,9 @@ def _hammer(root: str, worker: int, count: int, max_entries: int) -> list:
     return keys
 
 
-class TestTieredStore:
-    def _tiered(self, tmp_path, **kwargs):
-        from repro.exec.store import TieredResultStore
-
-        return TieredResultStore(tmp_path / "local", tmp_path / "shared",
-                                 **kwargs)
-
-    def test_write_back_lands_in_both_tiers(self, tmp_path):
-        store = self._tiered(tmp_path)
-        store.put("ab" * 32, {"kind": "single", "result": 1})
-        assert ResultStore(tmp_path / "local").get("ab" * 32)["result"] == 1
-        assert ResultStore(tmp_path / "shared").get("ab" * 32)["result"] == 1
-        assert store.tier_counts()["shared_fills"] == 1
-
-    def test_read_through_fills_local_and_counts_hit(self, tmp_path):
-        key = "cd" * 32
-        ResultStore(tmp_path / "shared").put(key, {"kind": "single",
-                                                   "result": 7})
-        store = self._tiered(tmp_path)
-        payload = store.get(key)
-        assert payload["result"] == 7
-        assert store.last_tier == "shared"
-        assert (store.stats.hits, store.stats.misses) == (1, 0)
-        assert store.tier_counts()["shared_hits"] == 1
-        # The blob was promoted: a second lookup is a local hit.
-        assert store.get(key)["result"] == 7
-        assert store.last_tier == "local"
-        assert store.tier_counts()["local_hits"] == 1
-
-    def test_bytes_read_through(self, tmp_path):
-        key = "ef" * 32
-        ResultStore(tmp_path / "shared").put_bytes(key, b"artifact")
-        store = self._tiered(tmp_path)
-        assert store.get_bytes(key) == b"artifact"
-        assert store.last_tier == "shared"
-        assert store.get_bytes(key) == b"artifact"
-        assert store.last_tier == "local"
-        assert store.tier_counts() == {"local_hits": 1, "shared_hits": 1,
-                                       "shared_fills": 0, "breaker_trips": 0,
-                                       "breaker_skips": 0, "breaker_open": 0}
-
-    def test_both_tiers_missing_is_a_miss(self, tmp_path):
-        store = self._tiered(tmp_path)
-        assert store.get("01" * 32) is None
-        assert store.stats.misses == 1
-        assert store.tier_counts()["shared_hits"] == 0
-
-    def test_half_written_shared_blob_is_a_miss(self, tmp_path):
-        key = "23" * 32
-        store = self._tiered(tmp_path)
-        shared_path = store.shared._path(key)
-        shared_path.parent.mkdir(parents=True, exist_ok=True)
-        shared_path.write_text('{"kind": "single", "resu')  # torn write
-        assert store.get(key) is None
-        assert store.stats.misses == 1
-        assert store.tier_counts()["shared_hits"] == 0
-
-    def test_stat_bytes_reports_the_holding_tier(self, tmp_path):
-        store = self._tiered(tmp_path)
-        ResultStore(tmp_path / "shared").put_bytes("45" * 32, b"xyzab")
-        assert store.stat_bytes_tier("45" * 32) == (5, "shared")
-        store.put_bytes("67" * 32, b"xy")
-        assert store.stat_bytes_tier("67" * 32) == (2, "local")
-        assert store.stat_bytes_tier("89" * 32) is None
-        assert store.stat_bytes("45" * 32) == 5
-
-    def test_resolve_shared_honors_env_and_sentinels(self, monkeypatch):
-        from repro.exec.store import resolve_shared
-
-        monkeypatch.delenv("REPRO_SHARED_STORE", raising=False)
-        assert resolve_shared() is None
-        assert resolve_shared("/mnt/shared") == "/mnt/shared"
-        assert resolve_shared("off") is None
-        monkeypatch.setenv("REPRO_SHARED_STORE", "/mnt/env")
-        assert resolve_shared() == "/mnt/env"
-        monkeypatch.setenv("REPRO_SHARED_STORE", "none")
-        assert resolve_shared() is None
-
-    def test_make_store_picks_the_tiering(self, tmp_path):
-        from repro.exec.store import TieredResultStore, make_store
-
-        plain = make_store(tmp_path / "a")
-        assert not isinstance(plain, TieredResultStore)
-        tiered = make_store(tmp_path / "a", str(tmp_path / "b"))
-        assert isinstance(tiered, TieredResultStore)
-
-
 class TestGcVsConcurrentFill:
     def test_compaction_keeps_blobs_that_landed_mid_gc(self, tmp_path):
-        # Deterministic replay of the race: a read-through fill lands
+        # Deterministic replay of the race: a concurrent put lands
         # between gc's ranking snapshot and its index compaction.  The
         # rewritten index must keep the newcomer's recency entry, or
         # the next eviction pass treats it as the oldest blob.
@@ -292,7 +205,7 @@ class TestGcVsConcurrentFill:
 
 
 def _gc_hammer(root: str, rounds: int) -> int:
-    """Child process: repeatedly gc the local tier while fills land."""
+    """Child process: repeatedly gc the store while puts land."""
     store = ResultStore(root)
     removed = 0
     for _ in range(rounds):
@@ -300,54 +213,40 @@ def _gc_hammer(root: str, rounds: int) -> int:
     return removed
 
 
-def _fill_hammer(local_root: str, shared_root: str, rounds: int,
-                 keys: list) -> int:
-    """Child process: read-through fills from the shared tier."""
-    from repro.exec.store import TieredResultStore
-
-    store = TieredResultStore(local_root, shared_root)
-    hits = 0
+def _put_hammer(root: str, rounds: int, keys: list) -> int:
+    """Child process: re-put a fixed key set round-robin."""
+    store = ResultStore(root)
     for i in range(rounds):
-        if store.get(keys[i % len(keys)]) is not None:
-            hits += 1
-    return hits
+        store.put(keys[i % len(keys)],
+                  {"kind": "single", "result": i % len(keys)})
+    return rounds
 
 
-class TestGcVsFillTwoProcesses:
-    def test_gc_and_read_through_fills_stay_consistent(self, tmp_path):
+class TestGcVsConcurrentPuts:
+    def test_gc_and_concurrent_puts_stay_consistent(self, tmp_path):
         import re
         from concurrent.futures import ProcessPoolExecutor
 
-        local = tmp_path / "local"
-        shared = tmp_path / "shared"
-        seed = ResultStore(shared)
         keys = [stable_hash({"blob": i}) for i in range(12)]
-        for i, key in enumerate(keys):
-            seed.put(key, {"kind": "single", "result": i})
-
+        _put_hammer(str(tmp_path), len(keys), keys)  # over gc's target
         with ProcessPoolExecutor(max_workers=2) as pool:
-            fills = pool.submit(_fill_hammer, str(local), str(shared),
-                                120, keys)
-            gcs = pool.submit(_gc_hammer, str(local), 120)
-            # Every lookup hit: the shared tier is never gc'd, so a
-            # concurrently evicted local blob reads straight through.
-            assert fills.result() == 120
+            puts = pool.submit(_put_hammer, str(tmp_path), 120, keys)
+            gcs = pool.submit(_gc_hammer, str(tmp_path), 120)
+            assert puts.result() == 120
             assert gcs.result() >= 1
 
-        # The surviving local tier is structurally sound...
-        survivor = ResultStore(local)
+        # The surviving store is structurally sound...
+        survivor = ResultStore(tmp_path)
         for blob in survivor._blobs():
             payload = json.loads(blob.read_text())
             assert payload["schema"] == SCHEMA_VERSION
         pattern = re.compile(r"^[0-9a-f]{2}/[0-9a-f]{64}\.(json|bin)$")
-        for line in (local / "index.log").read_text().splitlines():
+        for line in (tmp_path / "index.log").read_text().splitlines():
             assert pattern.match(line), line
-        # ...and every key still resolves with its original payload.
-        from repro.exec.store import TieredResultStore
-
-        final = TieredResultStore(local, shared)
+        # ...and every surviving key holds its own payload.
         for i, key in enumerate(keys):
-            assert final.get(key)["result"] == i
+            payload = survivor.get(key)
+            assert payload is None or payload["result"] == i
 
 
 class TestConcurrentWriters:
