@@ -1,50 +1,27 @@
-"""Tests for the distributed execution mesh: framing protocol, worker
-serve loop, and the pluggable fleet/ssh/local backends.
+"""Tests for the worker pool behind the parallel drive loop
+(:class:`repro.exec.pool.LocalPoolBackend`).
 
-The live-subprocess tests spawn real ``python -m repro.exec.worker``
-processes and drive them through the exact frames the runner sends, so
-every failure mode the drive loop depends on — structured errors,
-worker loss, discard filtering, rebuilds — is exercised against the
-real transport, not a mock.
+Each test drives real pool worker processes through the same
+submit/poll/discard/rebuild/close calls the runner makes, so the
+outcomes the drive loop depends on — ``ok`` results identical to a
+serial run, ``lost`` frames for dead workers, discarded tasks that
+never surface, and rebuilds that restore capacity — are exercised
+against live processes, not a mock.
 """
 
-import io
-import pickle
-import sys
 import time
 
 import pytest
 
 from repro.config import TINY
-from repro.exec import SingleCell, TraceSpec, stable_hash
-from repro.exec.backends import (
-    FRAME_ERROR,
-    FRAME_LOST,
-    FRAME_OK,
-    BackendUnavailable,
-    LocalPoolBackend,
-    SSHBackend,
-    WorkerFleetBackend,
-    parse_worker_spec,
-    resolve_backend_name,
-    resolve_slots,
-    resolve_workers_spec,
-    total_slots,
-    worker_command,
-)
-from repro.exec.faults import ConfigError, RemoteCellError, make_failure
-from repro.exec.protocol import (
-    MAGIC,
-    PROTOCOL_VERSION,
-    FrameError,
-    FrameOversized,
-    FrameTruncated,
-    read_frame,
-    write_frame,
-)
-from repro.exec.worker import serve
+from repro.exec import LocalPoolBackend, SingleCell, TraceSpec, stable_hash
+from repro.exec.pool import FRAME_LOST, FRAME_OK, BackendUnavailable
+from repro.exec.runner import _execute_cell
 
 ACCESSES = 2_000
+
+#: Hangs every cell on its first attempt; attempt 2 runs clean.
+HANG_ONCE = "hang:every=1,seconds=600,times=1"
 
 
 def _cell(benchmark="gamess", policy="lru"):
@@ -56,603 +33,173 @@ def _cell(benchmark="gamess", policy="lru"):
     )
 
 
-def _request(cell):
-    return {
-        "cell": cell,
-        "key": stable_hash(cell.key_payload()),
-        "artifact_root": None,
-        "attempt": 1,
-        "telemetry": False,
-        "deny_loads": (),
-    }
+def _request(cell, attempt=1):
+    return (cell, stable_hash(cell.key_payload()), None, attempt, True,
+            False, frozenset())
 
 
 def _serial_result(cell):
-    from repro.exec.runner import _execute_cell
-
-    result, _, _, _ = _execute_cell(
-        cell, stable_hash(cell.key_payload()), None, 1, False, False,
-        frozenset())
+    result, _, _, _ = _execute_cell(cell, stable_hash(cell.key_payload()))
     return result
 
 
-def _encode(*messages) -> io.BytesIO:
-    stream = io.BytesIO()
-    for message in messages:
-        write_frame(stream, message)
-    stream.seek(0)
-    return stream
-
-
-def _decode_all(buffer: bytes):
-    stream = io.BytesIO(buffer)
-    frames = []
-    while True:
-        message = read_frame(stream)
-        if message is None:
-            return frames
-        frames.append(message)
-
-
-def _run_frame(task_id, request):
-    return {"op": "run", "id": task_id,
-            "task": pickle.dumps(request,
-                                 protocol=pickle.HIGHEST_PROTOCOL)}
-
-
-class TestFraming:
-    def test_round_trip(self):
-        stream = _encode({"op": "hello", "pid": 42}, {"op": "shutdown"})
-        assert read_frame(stream) == {"op": "hello", "pid": 42}
-        assert read_frame(stream) == {"op": "shutdown"}
-        assert read_frame(stream) is None  # clean EOF
-
-    def test_empty_stream_is_clean_eof(self):
-        assert read_frame(io.BytesIO(b"")) is None
-
-    def test_truncated_header(self):
-        with pytest.raises(FrameTruncated):
-            read_frame(io.BytesIO(MAGIC + b"\x10"))
-
-    def test_truncated_payload(self):
-        stream = _encode({"op": "run", "id": 1})
-        whole = stream.getvalue()
-        with pytest.raises(FrameTruncated):
-            read_frame(io.BytesIO(whole[:-3]))
-
-    def test_bad_magic(self):
-        with pytest.raises(FrameError):
-            read_frame(io.BytesIO(b"XXXX" + (4).to_bytes(4, "little") + b"abcd"))
-
-    def test_oversized_declared_length_never_allocates(self):
-        huge = (1 << 31).to_bytes(4, "little")
-        with pytest.raises(FrameOversized):
-            read_frame(io.BytesIO(MAGIC + huge))
-
-    def test_oversized_write_refused(self, monkeypatch):
-        from repro.exec import protocol
-
-        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
-        with pytest.raises(FrameOversized):
-            protocol.write_frame(io.BytesIO(), {"blob": "x" * 1_000})
-
-    def test_undecodable_payload(self):
-        junk = b"\x00not a pickle"
-        stream = io.BytesIO(
-            MAGIC + len(junk).to_bytes(4, "little") + junk)
-        with pytest.raises(FrameError):
-            read_frame(stream)
-
-
-class TestWorkerServe:
-    """The worker frame loop, driven in-process over BytesIO pipes."""
-
-    def _serve(self, *messages):
-        writer = io.BytesIO()
-        code = serve(_encode(*messages), writer)
-        return code, _decode_all(writer.getvalue())
-
-    def test_hello_then_clean_eof(self):
-        code, frames = self._serve()
-        assert code == 0
-        [hello] = frames
-        assert hello["op"] == "hello"
-        assert hello["protocol"] == PROTOCOL_VERSION
-
-    def test_shutdown_op_exits_cleanly(self):
-        code, frames = self._serve({"op": "shutdown"})
-        assert code == 0
-        assert len(frames) == 1  # just the hello
-
-    def test_truncated_request_stream_exits_nonzero(self):
-        reader = io.BytesIO(MAGIC + (100).to_bytes(4, "little") + b"short")
-        writer = io.BytesIO()
-        assert serve(reader, writer) == 1
-
-    def test_unknown_op_yields_protocol_error(self):
-        code, frames = self._serve({"op": "launch-missiles"},
-                                   {"op": "shutdown"})
-        assert code == 0
-        error = frames[1]
-        assert error["op"] == "error"
-        assert error["exc_type"] == "ProtocolError"
-
-    def test_corrupt_nested_task_pickle_is_structured_error(self):
-        # The envelope parses; the nested request does not.  The reply
-        # must carry the task id so the parent can settle the cell.
-        code, frames = self._serve(
-            {"op": "run", "id": 7, "task": b"\x00garbage"})
-        assert code == 0
-        error = frames[1]
-        assert error["op"] == "error"
-        assert error["id"] == 7
-
-    def test_unimportable_cell_class_is_structured_error(self):
-        # A GLOBAL opcode naming a module the worker does not have:
-        # exactly what an unknown cell type looks like on the wire.
-        bad_task = b"cno_such_module_xyz\nNoSuchCell\n."
-        code, frames = self._serve({"op": "run", "id": 3, "task": bad_task})
-        assert code == 0
-        error = frames[1]
-        assert error["op"] == "error"
-        assert error["id"] == 3
-        assert "no_such_module_xyz" in error["message"]
-
-    def test_config_frame_applies_and_unsets_env(self, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
-        code, frames = self._serve(
-            {"op": "config",
-             "env": {"REPRO_FAULT_INJECT": "raise:every=1,times=99"}},
-            _run_frame(5, _request(_cell())),
-            {"op": "config", "env": {"REPRO_FAULT_INJECT": None}},
-        )
-        assert code == 0
-        error = frames[1]
-        assert error["op"] == "error"
-        assert error["id"] == 5
-        assert error["exc_type"] == "InjectedFault"
-        assert "REPRO_FAULT_INJECT" not in os.environ
-
-    def test_run_executes_cell_bit_identically(self):
-        cell = _cell()
-        code, frames = self._serve(_run_frame(11, _request(cell)))
-        assert code == 0
-        reply = frames[1]
-        assert reply["op"] == "result"
-        assert reply["id"] == 11
-        result, seconds, _, _ = reply["payload"]
-        assert result == _serial_result(cell)
-        assert seconds >= 0.0
-
-
-def _poll_until(backend, deadline_s=120.0):
+def _wait_running(pool, deadline_s=60.0):
+    """Block until every in-flight task has reached a worker."""
     deadline = time.monotonic() + deadline_s
-    while time.monotonic() < deadline:
-        frames = backend.poll(timeout=0.5)
-        if frames:
-            return frames
-    raise AssertionError("no frame from backend before deadline")
+    while not all(future.running() for future in pool._futures):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+def _workers(pool):
+    return list((pool._pool._processes or {}).values())
 
 
 class TestWorkerFleetBackend:
-    """Live worker subprocesses over real pipes."""
+    """The pool's worker processes as the drive loop sees them when
+    one is killed from outside (an OOM kill, say) or the pool is torn
+    down."""
 
-    def test_executes_cell_and_matches_serial(self):
-        cell = _cell()
-        backend = WorkerFleetBackend([worker_command()])
-        backend.start()
+    def test_killed_worker_yields_lost_frame(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", HANG_ONCE)
+        pool = LocalPoolBackend(1)
         try:
-            backend.submit(1, _request(cell))
-            assert backend.in_flight() == [1]
-            [frame] = _poll_until(backend)
-            assert frame.task_id == 1
-            assert frame.status == FRAME_OK
-            result, _, _, _ = frame.payload
-            assert result == _serial_result(cell)
-            assert backend.in_flight() == []
+            pool.submit(4, _request(_cell()))
+            _wait_running(pool)
+            [worker] = _workers(pool)
+            worker.kill()
+            [frame] = pool.poll(timeout=120)
+            assert (frame.task_id, frame.status) == (4, FRAME_LOST)
+            assert pool.poll(timeout=0) == []
         finally:
-            backend.close()
+            pool.close()
 
-    def test_remote_exception_surfaces_original_type(self):
-        backend = WorkerFleetBackend(
-            [worker_command()],
-            env={"REPRO_FAULT_INJECT": "raise:every=1,times=99",
-                 "REPRO_RETRY_BACKOFF": "0"})
-        backend.start()
+    def test_discarded_task_never_surfaces(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", HANG_ONCE)
+        pool = LocalPoolBackend(1)
         try:
-            backend.submit(1, _request(_cell()))
-            [frame] = _poll_until(backend)
-            assert frame.status == FRAME_ERROR
-            exc = frame.payload
-            assert isinstance(exc, RemoteCellError)
-            # make_failure unwraps the remote wrapper, so the recorded
-            # failure names the original exception type.
-            failure = make_failure("cell", "key", exc, "error", 1)
-            assert failure.exc_type == "InjectedFault"
-            assert "InjectedFault" in failure.traceback
-        finally:
-            backend.close()
-
-    def test_killed_worker_yields_lost_frame(self):
-        backend = WorkerFleetBackend(
-            [worker_command()],
-            env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=99"})
-        backend.start()
-        try:
-            backend.submit(4, _request(_cell()))
-            backend._fleet[0].proc.kill()
-            [frame] = _poll_until(backend)
-            assert frame.task_id == 4
-            assert frame.status == FRAME_LOST
-            assert backend.in_flight() == []
-        finally:
-            backend.close()
-
-    def test_submit_beyond_capacity_is_unavailable(self):
-        backend = WorkerFleetBackend(
-            [worker_command()],
-            env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=99"})
-        backend.start()
-        try:
-            backend.submit(1, _request(_cell()))
-            with pytest.raises(BackendUnavailable):
-                backend.submit(2, _request(_cell("soplex")))
-        finally:
-            backend.close()
-
-    def test_discarded_task_never_surfaces(self):
-        backend = WorkerFleetBackend(
-            [worker_command()],
-            env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=99"})
-        backend.start()
-        try:
-            backend.submit(9, _request(_cell()))
-            backend.discard(9)
-            assert backend.in_flight() == []
-            backend._fleet[0].proc.kill()
+            pool.submit(9, _request(_cell()))
+            _wait_running(pool)
+            pool.discard(9)
+            # The worker dies under the discarded task: neither its
+            # result nor its loss may reach the drive loop.
+            for worker in _workers(pool):
+                worker.kill()
             deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                assert backend.poll(timeout=0.2) == []
-                if not backend._fleet[0].alive:
-                    break
+            while pool._pool._broken is False:
+                assert time.monotonic() < deadline
+                assert pool.poll(timeout=0.2) == []
+            assert pool.poll(timeout=0.2) == []
         finally:
-            backend.close()
-
-    def test_rebuild_returns_dropped_ids_and_restores_capacity(self):
-        backend = WorkerFleetBackend(
-            [worker_command()],
-            env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=1"})
-        backend.start()
-        try:
-            backend.submit(1, _request(_cell()))
-            assert backend.rebuild() == [1]
-            # The hang rule fired on attempt 1; the resubmitted attempt
-            # runs clean on the fresh worker.
-            request = _request(_cell())
-            request["attempt"] = 2
-            backend.submit(2, request)
-            [frame] = _poll_until(backend)
-            assert frame.task_id == 2
-            assert frame.status == FRAME_OK
-        finally:
-            backend.close()
+            pool.close()
 
     def test_close_is_idempotent(self):
-        backend = WorkerFleetBackend([worker_command()])
-        backend.start()
-        backend.close()
-        backend.close()
-        assert backend.in_flight() == []
-
-
-class TestWorkerHealth:
-    """Heartbeat liveness: hung or partitioned workers are declared
-    lost after ``REPRO_HEARTBEAT_TIMEOUT`` instead of waiting for the
-    cell watchdog; healthy-but-slow cells stay alive."""
-
-    def test_silent_busy_worker_declared_lost(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
-        monkeypatch.setenv(
-            "REPRO_FAULT_INJECT",
-            "hb-loss:every=1,times=99;hang:every=1,seconds=600,times=99")
-        backend = WorkerFleetBackend([worker_command()])
-        assert backend._hb_timeout == pytest.approx(0.5)
-        backend.start()
-        try:
-            started = time.monotonic()
-            backend.submit(3, _request(_cell()))
-            [frame] = _poll_until(backend, deadline_s=60.0)
-            elapsed = time.monotonic() - started
-            assert frame.task_id == 3
-            assert frame.status == FRAME_LOST
-            assert "heartbeat-lost" in frame.payload
-            # The 600s hang was cut down to the heartbeat timeout.
-            assert elapsed < 30.0
-            assert backend.in_flight() == []
-        finally:
-            backend.close()
-
-    def test_heartbeats_keep_slow_cell_alive(self, monkeypatch):
-        # The cell stalls for several heartbeat timeouts, but the
-        # worker's beat thread keeps the slot marked live: the result
-        # must arrive as a normal OK frame, never a false loss.
-        monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
-        monkeypatch.setenv("REPRO_FAULT_INJECT",
-                           "hang:every=1,seconds=2,times=99")
-        cell = _cell()
-        backend = WorkerFleetBackend([worker_command()])
-        backend.start()
-        try:
-            backend.submit(5, _request(cell))
-            [frame] = _poll_until(backend, deadline_s=60.0)
-            assert frame.task_id == 5
-            assert frame.status == FRAME_OK
-            result, _, _, _ = frame.payload
-            assert result == _serial_result(cell)
-        finally:
-            backend.close()
-
-    def test_heartbeats_off_cost_nothing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
-        backend = WorkerFleetBackend([worker_command()])
-        assert backend._hb_timeout is None
-        assert backend._check_heartbeats() == []
+        pool = LocalPoolBackend(1)
+        pool.submit(1, _request(_cell()))
+        pool.close()
+        pool.close()
+        assert pool.poll(timeout=0) == []
+        with pytest.raises(BackendUnavailable):
+            pool.submit(2, _request(_cell()))
 
 
 class TestDiscardSemantics:
     def test_soft_discard_frees_slot_without_rebuild(self):
-        # A hedge race's losing copy: the slot finishes its (now
-        # unwanted) cell, the late frame is filtered, and the slot is
-        # immediately reusable — no kill, no rebuild.
-        backend = WorkerFleetBackend([worker_command()])
-        backend.start()
+        # The slot finishes its (now unwanted) cell, the late result is
+        # dropped, and the slot is reusable without a rebuild.
+        pool = LocalPoolBackend(1)
         try:
-            backend.submit(1, _request(_cell()))
-            backend.discard(1, kill=False)
-            assert backend.in_flight() == []
-            worker = backend._fleet[0]
-            assert worker.alive
-            deadline = time.monotonic() + 60.0
-            while worker.task_id is not None:
-                assert time.monotonic() < deadline
-                assert backend.poll(timeout=0.2) == []
-            assert worker.alive  # the slot survived its loss
+            executor = pool._pool
+            pool.submit(1, _request(_cell()))
+            pool.discard(1)
+            assert pool.poll(timeout=0.2) == []
             cell = _cell("soplex")
-            backend.submit(2, _request(cell))
-            [frame] = _poll_until(backend)
-            assert frame.task_id == 2
-            assert frame.status == FRAME_OK
+            pool.submit(2, _request(cell))
+            [frame] = pool.poll(timeout=120)
+            assert (frame.task_id, frame.status) == (2, FRAME_OK)
             result, _, _, _ = frame.payload
             assert result == _serial_result(cell)
+            assert pool._pool is executor  # no rebuild happened
         finally:
-            backend.close()
+            pool.close()
 
-    def test_hard_discard_retires_slot_until_rebuild(self):
-        backend = WorkerFleetBackend(
-            [worker_command()],
-            env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=1"})
-        backend.start()
+    def test_hard_discard_retires_slot_until_rebuild(self, monkeypatch):
+        # The watchdog's abandonment of a hung cell: the worker stays
+        # busy with it, so the slot is retired until the rebuild that
+        # the drive loop always follows a timeout with.
+        cell = _cell()
+        expected = _serial_result(cell)
+        monkeypatch.setenv("REPRO_FAULT_INJECT", HANG_ONCE)
+        pool = LocalPoolBackend(1)
         try:
-            backend.submit(7, _request(_cell()))
-            backend.discard(7)  # kill=True: watchdog-style abandonment
-            assert backend.in_flight() == []
-            with pytest.raises(BackendUnavailable):
-                backend.submit(8, _request(_cell("soplex")))
-            # The discarded task was already abandoned, so the rebuild
-            # reports nothing to requeue — but restores capacity, and
-            # no late frame from the old generation ever surfaces.
-            assert backend.rebuild() == []
-            assert backend.poll(timeout=0.1) == []
-            request = _request(_cell())
-            request["attempt"] = 2  # the times=1 hang rule skips this
-            backend.submit(9, request)
-            [frame] = _poll_until(backend)
-            assert frame.task_id == 9
-            assert frame.status == FRAME_OK
+            pool.submit(7, _request(cell))
+            _wait_running(pool)
+            pool.discard(7)
+            pool.submit(8, _request(_cell("soplex"), attempt=2))
+            assert pool.poll(timeout=1.0) == []  # stuck behind the hang
+            pool.rebuild()
+            # The rebuild dropped task 8 with the old workers; nothing
+            # from the old generation ever surfaces.
+            assert pool.poll(timeout=0.1) == []
+            pool.submit(9, _request(cell, attempt=2))
+            [frame] = pool.poll(timeout=120)
+            assert (frame.task_id, frame.status) == (9, FRAME_OK)
+            result, _, _, _ = frame.payload
+            assert result == expected
         finally:
-            backend.close()
+            pool.close()
 
     def test_idle_worker_death_shrinks_capacity(self):
-        backend = WorkerFleetBackend(
-            [worker_command()] * 2,
-            env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=99"})
-        backend.start()
+        pool = LocalPoolBackend(2)
         try:
-            victim = backend._fleet[0]
-            victim.proc.kill()
+            pool.submit(1, _request(_cell()))
+            [frame] = pool.poll(timeout=120)
+            assert frame.status == FRAME_OK
+            victim = _workers(pool)[0]
+            victim.kill()
             deadline = time.monotonic() + 30.0
-            while victim.alive and time.monotonic() < deadline:
-                # An idle death produces no lost frame — no task was
-                # riding the slot — it only shrinks capacity.
-                assert backend.poll(timeout=0.2) == []
-            assert not victim.alive
-            backend.submit(1, _request(_cell()))
-            with pytest.raises(BackendUnavailable):
-                backend.submit(2, _request(_cell("soplex")))
-        finally:
-            backend.close()
-
-
-#: A worker that shouts on stderr before serving: exercises the
-#: stderr ring buffer that failure messages quote.
-_NOISY_WORKER = [
-    sys.executable, "-c",
-    "import sys, runpy; print('chaos-canary: mount gone', file=sys.stderr); "
-    "sys.stderr.flush(); sys.argv = sys.argv[:1]; "
-    "runpy.run_module('repro.exec.worker', run_name='__main__')",
-]
-
-
-class TestStderrTail:
-    def test_lost_frame_carries_stderr_tail(self):
-        backend = WorkerFleetBackend(
-            [_NOISY_WORKER],
-            env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=99"})
-        backend.start()
-        try:
-            worker = backend._fleet[0]
-            # Wait for the worker to boot (hello) and the canary line
-            # to land in the ring before killing it mid-cell.
-            deadline = time.monotonic() + 60.0
-            while not (worker.ready and worker.stderr_tail):
+            while pool._pool._broken is False:
+                # An idle death produces no lost frame, since no task
+                # was riding the slot; it only takes capacity away.
                 assert time.monotonic() < deadline
-                backend.poll(timeout=0.1)
-            backend.submit(4, _request(_cell()))
-            worker.proc.kill()
-            [frame] = _poll_until(backend)
-            assert frame.status == FRAME_LOST
-            assert "worker stderr tail" in frame.payload
-            assert "chaos-canary: mount gone" in frame.payload
+                assert pool.poll(timeout=0.2) == []
+            with pytest.raises(BackendUnavailable):
+                pool.submit(2, _request(_cell("soplex")))
+            pool.rebuild()
+            pool.submit(3, _request(_cell("soplex")))
+            [frame] = pool.poll(timeout=120)
+            assert (frame.task_id, frame.status) == (3, FRAME_OK)
         finally:
-            backend.close()
-
-    def test_tail_ring_is_bounded(self):
-        from repro.exec.backends.fleet import _STDERR_TAIL_LINES, _Worker
-
-        worker = _Worker(proc=None, index=0)
-        for index in range(_STDERR_TAIL_LINES * 3):
-            worker.stderr_tail.append(f"line {index}")
-        assert len(worker.stderr_tail) == _STDERR_TAIL_LINES
-        assert worker.stderr_tail[0] == f"line {_STDERR_TAIL_LINES * 2}"
+            pool.close()
 
 
 class TestLocalPoolBackend:
     def test_executes_cell_and_matches_serial(self):
         cell = _cell()
-        backend = LocalPoolBackend(1)
-        backend.start()
+        pool = LocalPoolBackend(1)
         try:
-            backend.submit(1, _request(cell))
-            [frame] = _poll_until(backend)
-            assert frame.status == FRAME_OK
+            pool.submit(1, _request(cell))
+            [frame] = pool.poll(timeout=120)
+            assert (frame.task_id, frame.status) == (1, FRAME_OK)
             result, _, _, _ = frame.payload
             assert result == _serial_result(cell)
         finally:
-            backend.close()
+            pool.close()
 
-
-class TestWorkerSpec:
-    def test_parses_hosts_and_slots(self):
-        assert parse_worker_spec("hostA:4,hostB") == [("hostA", 4),
-                                                      ("hostB", 1)]
-        assert total_slots("hostA:4,hostB:2,hostC") == 7
-
-    def test_ipv6_style_colons_take_last_field(self):
-        assert parse_worker_spec("node-1.lan:2") == [("node-1.lan", 2)]
-
-    @pytest.mark.parametrize("spec", ["", "  ", "host:abc", "host:0", ":3"])
-    def test_bad_specs_raise_config_error(self, spec):
-        with pytest.raises(ConfigError):
-            parse_worker_spec(spec)
-
-
-class TestBackendResolution:
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fleet")
-        assert resolve_backend_name("local") == "local"
-        assert resolve_backend_name() == "fleet"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ConfigError):
-            resolve_backend_name("carrier-pigeon")
-
-    def test_workers_spec_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers_spec(None) is None
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers_spec(None) == "3"
-        assert resolve_workers_spec("hostA:2") == "hostA:2"
-
-    def test_slot_sizing(self):
-        assert resolve_slots("local", 4, None) == 4
-        assert resolve_slots("fleet", 4, None) == 4
-        assert resolve_slots("fleet", 4, "2") == 2
-        assert resolve_slots("ssh", 4, "a:2,b") == 3
-
-    def test_fleet_slots_must_be_numeric_and_positive(self):
-        with pytest.raises(ConfigError):
-            resolve_slots("fleet", 4, "hostA:2")
-        with pytest.raises(ConfigError):
-            resolve_slots("fleet", 4, "0")
-
-    def test_ssh_requires_a_spec(self):
-        with pytest.raises(ConfigError):
-            resolve_slots("ssh", 4, None)
-
-
-#: A stand-in ssh client: ignores the appended "host python -m ..."
-#: operands and runs the worker module locally, so the tunnel path is
-#: exercised end to end without an sshd.
-_FAKE_SSH = (
-    "import sys, runpy; sys.argv = sys.argv[:1]; "
-    "runpy.run_module('repro.exec.worker', run_name='__main__')"
-)
-
-
-class TestSSHBackend:
-    def test_builds_one_command_per_slot(self):
-        backend = SSHBackend([("hostA", 2), ("hostB", 1)],
-                             python="python3",
-                             ssh_command=["ssh", "-o", "BatchMode=yes"])
-        expected_a = ["ssh", "-o", "BatchMode=yes", "hostA", "python3",
-                      "-m", "repro.exec.worker"]
-        expected_b = ["ssh", "-o", "BatchMode=yes", "hostB", "python3",
-                      "-m", "repro.exec.worker"]
-        assert backend._commands == [expected_a, expected_a, expected_b]
-        assert backend.workers == 3
-
-    def test_env_knobs_override_client_and_python(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SSH_COMMAND", "ssh -p 2222")
-        monkeypatch.setenv("REPRO_REMOTE_PYTHON", "/opt/py/bin/python")
-        backend = SSHBackend([("hostA", 1)])
-        assert backend._commands == [
-            ["ssh", "-p", "2222", "hostA", "/opt/py/bin/python",
-             "-m", "repro.exec.worker"]]
-
-    def test_tunnel_executes_cell_with_fake_ssh(self):
+    def test_worker_death_is_a_lost_frame_and_rebuild_recovers(
+            self, monkeypatch):
         cell = _cell()
-        backend = SSHBackend([("ignored-host", 1)],
-                             ssh_command=[sys.executable, "-c", _FAKE_SSH])
-        backend.start()
+        key = stable_hash(cell.key_payload())
+        monkeypatch.setenv("REPRO_FAULT_INJECT", f"crash:key={key[:16]}")
+        pool = LocalPoolBackend(1)
         try:
-            backend.submit(1, _request(cell))
-            [frame] = _poll_until(backend)
-            assert frame.status == FRAME_OK
-            result, _, _, _ = frame.payload
-            assert result == _serial_result(cell)
+            pool.submit(1, _request(cell))
+            [frame] = pool.poll(timeout=120)
+            assert (frame.task_id, frame.status) == (1, FRAME_LOST)
+            pool.rebuild()
+            # The crash rule fires on attempt 1 only.
+            pool.submit(2, _request(cell, attempt=2))
+            [frame] = pool.poll(timeout=120)
+            assert (frame.task_id, frame.status) == (2, FRAME_OK)
         finally:
-            backend.close()
-
-    def test_default_command_carries_connect_timeout(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SSH_COMMAND", raising=False)
-        monkeypatch.delenv("REPRO_SSH_CONNECT_TIMEOUT", raising=False)
-        backend = SSHBackend([("hostA", 1)], python="python3")
-        assert "ConnectTimeout=10" in backend._commands[0]
-        monkeypatch.setenv("REPRO_SSH_CONNECT_TIMEOUT", "3")
-        backend = SSHBackend([("hostA", 1)], python="python3")
-        assert "ConnectTimeout=3" in backend._commands[0]
-
-    def test_connect_timeout_off_disables_fast_fail(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SSH_COMMAND", raising=False)
-        monkeypatch.setenv("REPRO_SSH_CONNECT_TIMEOUT", "off")
-        backend = SSHBackend([("hostA", 1)], python="python3")
-        assert backend._connect_timeout is None
-        assert not any("ConnectTimeout" in part
-                       for part in backend._commands[0])
-
-    def test_unreachable_host_fails_start_fast(self, monkeypatch):
-        # An ssh client that dies like a refused connection: start()
-        # must surface a clean BackendUnavailable within the connect
-        # timeout, not hang until the first submit.
-        monkeypatch.setenv("REPRO_SSH_CONNECT_TIMEOUT", "5")
-        backend = SSHBackend(
-            [("unreachable-host", 1)],
-            ssh_command=[sys.executable, "-c", "import sys; sys.exit(255)"])
-        started = time.monotonic()
-        with pytest.raises(BackendUnavailable) as excinfo:
-            backend.start()
-        assert time.monotonic() - started < 20.0
-        assert "before its hello" in str(excinfo.value)
-        assert backend._fleet == []  # cleanly torn down
+            pool.close()

@@ -11,7 +11,6 @@ import pytest
 from repro.config import TINY
 from repro.core.presets import single_thread_config, table_1b_features
 from repro.exec import (
-    LocalPoolBackend,
     MixCell,
     ParallelRunner,
     SearchCell,
@@ -19,10 +18,7 @@ from repro.exec import (
     SuiteSpec,
     TraceSpec,
     resolve_jobs,
-    stable_hash,
 )
-from repro.exec.pool import FRAME_LOST, FRAME_OK
-from repro.exec.runner import _execute_cell
 from repro.policies import policy_factory
 from repro.search.evaluator import FeatureSetEvaluator
 from repro.sim.multi import MultiProgrammedRunner
@@ -328,42 +324,3 @@ class TestReport:
         assert report.hits == len(cells) - 1
         assert report.computed == 0
         assert report.hit_rate == 1.0
-
-
-class TestLocalPoolBackend:
-    @staticmethod
-    def _request(cell, attempt=1):
-        return (cell, stable_hash(cell.key_payload()), None, attempt, True,
-                False, frozenset())
-
-    def test_executes_cell_and_matches_serial(self):
-        cell = _single_cells()[0]
-        pool = LocalPoolBackend(1)
-        try:
-            pool.submit(1, self._request(cell))
-            [frame] = pool.poll(timeout=120)
-            assert (frame.task_id, frame.status) == (1, FRAME_OK)
-            result, _, _, _ = frame.payload
-            serial, _, _, _ = _execute_cell(cell, stable_hash(
-                cell.key_payload()))
-            assert result == serial
-        finally:
-            pool.close()
-
-    def test_worker_death_is_a_lost_frame_and_rebuild_recovers(
-            self, monkeypatch):
-        cell = _single_cells()[0]
-        key = stable_hash(cell.key_payload())
-        monkeypatch.setenv("REPRO_FAULT_INJECT", f"crash:key={key[:16]}")
-        pool = LocalPoolBackend(1)
-        try:
-            pool.submit(1, self._request(cell))
-            [frame] = pool.poll(timeout=120)
-            assert (frame.task_id, frame.status) == (1, FRAME_LOST)
-            pool.rebuild()
-            # The crash rule fires on attempt 1 only.
-            pool.submit(2, self._request(cell, attempt=2))
-            [frame] = pool.poll(timeout=120)
-            assert (frame.task_id, frame.status) == (2, FRAME_OK)
-        finally:
-            pool.close()
